@@ -18,6 +18,7 @@ import sys
 
 from . import __version__
 from . import hypergraph as hg
+from .canon import SearchBudgetExceeded
 from .constructions import blowup_power, complete_hypergraph, hyperstar, kth_power_of_graph
 from .spectral import (
     SolverConfig,
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedUniformityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

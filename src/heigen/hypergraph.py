@@ -196,13 +196,18 @@ def to_json_dict(g: Hypergraph) -> dict:
         "format": FILE_FORMAT,
         "k": g.k,
         "n": g.n,
-        "edges": [list(e) for e in g.edges],
+        "edges": sorted(list(e) for e in g.edges),
     }
 
 
 def dumps(g: Hypergraph) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing newline."""
     return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+
+
+def _is_json_int(v) -> bool:
+    """A JSON integer; true and false parse to bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def from_json_dict(obj) -> Hypergraph:
@@ -214,15 +219,17 @@ def from_json_dict(obj) -> Hypergraph:
     if obj["format"] != FILE_FORMAT:
         raise ValueError(f"unsupported format {obj['format']!r}, expected {FILE_FORMAT!r}")
     n, k, edges = obj["n"], obj["k"], obj["edges"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not (_is_json_int(n) and _is_json_int(k)):
         raise ValueError("n and k must be integers")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ValueError("edges must be a list of lists")
     for e in edges:
-        if not all(isinstance(v, int) for v in e):
+        if not all(_is_json_int(v) for v in e):
             raise ValueError(f"edge {e} has non-integer vertices")
         if list(e) != sorted(e):
             raise ValueError(f"edge {e} is not sorted ascending")
+    if edges != sorted(edges):
+        raise ValueError("the edge list is not sorted")
     return Hypergraph(n, k, tuple(tuple(e) for e in edges))
 
 

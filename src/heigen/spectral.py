@@ -6,6 +6,12 @@ k the least H-eigenvalue is the minimum of the degree-k form over the unit
 k-norm sphere; it is found by multi-restart projected gradient descent and
 cross-checked elsewhere by brute-force sampling.  The spectral radius of a
 connected graph comes from a shifted nonnegative power iteration.
+
+One batched O(m*k) kernel serves every contraction: edge products by
+column multiplies, and the scatter onto vertices by one bincount.  Integer
+powers are repeated multiplications.  Contraction, descent, polish and
+power iteration make no BLAS call, so their results do not depend on the
+BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -80,8 +86,19 @@ def _as_vector(g: Hypergraph, x) -> np.ndarray:
     return x
 
 
+def _ipow(x: np.ndarray, p: int) -> np.ndarray:
+    """x ** p for an integer p >= 1, by repeated multiplication: libm pow on
+    signed arrays costs far more than the multiplies."""
+    if p == 1:
+        return x
+    out = x * x
+    for _ in range(p - 2):
+        out *= x
+    return out
+
+
 def knorm(x: np.ndarray, k: int) -> float:
-    return float(np.sum(np.abs(x) ** k) ** (1.0 / k))
+    return float(np.sum(_ipow(np.abs(x), k)) ** (1.0 / k))
 
 
 def _normalized(x: np.ndarray, k: int) -> np.ndarray:
@@ -91,60 +108,76 @@ def _normalized(x: np.ndarray, k: int) -> np.ndarray:
     return x / s
 
 
+class _Kernel:
+    """Contractions of A(G) with a batch of vectors, one vector per row.
+
+    The edges are stored column-major, shape (k, m), so gathering a batch
+    gives one (rows, m) block per edge position.  ``index`` offsets each
+    vertex by its row, ``row * n + vertex``, so one bincount scatters the
+    whole batch.  A kernel serves batches of up to ``rows`` rows and reuses
+    its gather and product buffers across calls.
+    """
+
+    def __init__(self, g: Hypergraph, rows: int = 1):
+        self.n, self.k = g.n, g.k
+        self.cols = np.ascontiguousarray(g.edge_array.T)
+        self.index = (np.arange(rows)[:, None] * g.n + self.cols.ravel()).ravel()
+        self._ex = np.empty((rows, g.k, g.m))
+        self._contrib = np.empty((rows, g.k, g.m))
+
+    def _gather(self, xs: np.ndarray) -> np.ndarray:
+        # every index is a vertex of g; mode="clip" only stops take from
+        # buffering its output
+        return np.take(xs, self.cols, axis=1, out=self._ex[: len(xs)], mode="clip")
+
+    def form(self, xs: np.ndarray) -> np.ndarray:
+        """The degree-k form of each row."""
+        ex = self._gather(xs)
+        prod = ex[:, 0] * ex[:, 1]
+        for j in range(2, self.k):
+            prod *= ex[:, j]
+        return self.k * prod.sum(axis=1)
+
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        """(A(G) x^{k-1}) of each row: per edge and position, the product of
+        the other k-1 entries, from prefix and suffix products."""
+        k, rows = self.k, len(xs)
+        ex = self._gather(xs)
+        contrib = self._contrib[:rows]
+        contrib[:, 1] = ex[:, 0]
+        for j in range(2, k):
+            np.multiply(contrib[:, j - 1], ex[:, j - 1], out=contrib[:, j])
+        suffix = ex[:, k - 1].copy()
+        for j in range(k - 2, 0, -1):
+            contrib[:, j] *= suffix
+            suffix *= ex[:, j]
+        contrib[:, 0] = suffix
+        out = np.bincount(self.index[: contrib.size], weights=contrib.ravel(), minlength=rows * self.n)
+        return out.reshape(rows, self.n)
+
+
 def tensor_apply(g: Hypergraph, x) -> np.ndarray:
     """(A(G) x^{k-1})_v: sum over edges at v of the product of x off v."""
     x = _as_vector(g, x)
     if g.m == 0:
-        return np.zeros(g.n)
-    ex = x[g.edge_array]
-    pre = np.ones_like(ex)
-    suf = np.ones_like(ex)
-    np.cumprod(ex[:, :-1], axis=1, out=pre[:, 1:])
-    np.cumprod(ex[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    contrib = pre * suf
-    return np.bincount(g.edge_array.ravel(), weights=contrib.ravel(), minlength=g.n)
+        return np.zeros(g.n)  # bincount of no weights would give ints
+    return _Kernel(g).apply(x[None, :])[0]
 
 
 def rayleigh(g: Hypergraph, x) -> float:
     """The degree-k form A(G) x^k = k times the sum of edge products."""
     x = _as_vector(g, x)
-    if g.m == 0:
-        return 0.0
-    return float(g.k * np.sum(np.prod(x[g.edge_array], axis=1)))
+    return float(_Kernel(g).form(x[None, :])[0])
 
 
 def residual(g: Hypergraph, lam: float, x) -> float:
     """Max-norm violation of the eigen equation at (lam, x)."""
     x = _as_vector(g, x)
-    return float(np.max(np.abs(tensor_apply(g, x) - lam * x ** (g.k - 1))))
-
-
-class _Workspace:
-    """Per-graph arrays for batched evaluation of the form and its gradient."""
-
-    def __init__(self, g: Hypergraph):
-        self.k = g.k
-        self.edge = g.edge_array
-        m = g.m
-        scatter = np.zeros((m * g.k, g.n))
-        scatter[np.arange(m * g.k), self.edge.ravel()] = 1.0
-        self.scatter = scatter
-
-    def rayleigh_rows(self, xs: np.ndarray) -> np.ndarray:
-        return self.k * np.prod(xs[:, self.edge], axis=2).sum(axis=1)
-
-    def apply_rows(self, xs: np.ndarray) -> np.ndarray:
-        ex = xs[:, self.edge]
-        pre = np.ones_like(ex)
-        suf = np.ones_like(ex)
-        np.cumprod(ex[:, :, :-1], axis=2, out=pre[:, :, 1:])
-        np.cumprod(ex[:, :, :0:-1], axis=2, out=suf[:, :, -2::-1])
-        contrib = (pre * suf).reshape(xs.shape[0], -1)
-        return contrib @ self.scatter
+    return float(np.max(np.abs(tensor_apply(g, x) - lam * _ipow(x, g.k - 1))))
 
 
 def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
-    norms = np.sum(np.abs(xs) ** k, axis=1) ** (1.0 / k)
+    norms = np.sum(_ipow(np.abs(xs), k), axis=1) ** (1.0 / k)
     return xs / norms[:, None]
 
 
@@ -154,9 +187,9 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
     backtracking trajectory; rows freeze once their projected gradient
     drops below tolerance or their line search stops making progress."""
     k = g.k
-    ws = _Workspace(g)
     xs = _normalized_rows(np.atleast_2d(np.asarray(x0, dtype=np.float64)), k)
-    fs = ws.rayleigh_rows(xs)
+    kernel = _Kernel(g, len(xs))
+    fs = kernel.form(xs)
     steps = np.ones(len(xs))
     active = np.ones(len(xs), dtype=bool)
     for _ in range(max_iters):
@@ -164,8 +197,8 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
             break
         rows = np.nonzero(active)[0]
         x = xs[rows]
-        grad = k * ws.apply_rows(x)
-        normal = x ** (k - 1)  # gradient of the constraint, up to the factor k
+        grad = k * kernel.apply(x)
+        normal = _ipow(x, k - 1)  # gradient of the constraint, up to the factor k
         coef = np.sum(grad * normal, axis=1) / np.sum(normal * normal, axis=1)
         gproj = grad - coef[:, None] * normal
         converged = np.max(np.abs(gproj), axis=1) < gtol
@@ -184,7 +217,7 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
                 break
             s = np.nonzero(searching)[0]
             xt = _normalized_rows(x[s] + t[s, None] * d[s], k)
-            ft = ws.rayleigh_rows(xt)
+            ft = kernel.form(xt)
             ok = ft <= fs[rows[s]] - 1e-4 * t[s] * gnorm[s]
             hit = s[ok]
             xs[rows[hit]] = xt[ok]
@@ -195,11 +228,6 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
         # rows whose decrease fell below float resolution are done
         active[rows[searching]] = False
     return fs, xs
-
-
-def _descend(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -> tuple[float, np.ndarray]:
-    fs, xs = _descend_batch(g, x0[None, :], max_iters, gtol)
-    return float(fs[0]), xs[0]
 
 
 def _polish_once(g: Hypergraph, x: np.ndarray, rounds: int) -> tuple[float, np.ndarray, float]:
@@ -302,8 +330,9 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     shift = 1.0 + max(g.degree(v) for v in range(g.n))
     x = _normalized(np.ones(g.n), k)
     for _ in range(cfg.max_iters):
-        y = tensor_apply(g, x) + shift * x ** (k - 1)
-        ratios = y / x ** (k - 1)
+        xp = _ipow(x, k - 1)
+        y = tensor_apply(g, x) + shift * xp
+        ratios = y / xp
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         x = _normalized(y ** (1.0 / (k - 1)), k)
         if hi - lo < 1e-13 * max(1.0, hi):

@@ -20,7 +20,10 @@ from heigen import (
     verify_odd_bipartite_identity,
     verify_relocation,
 )
+from heigen import analysis
 from heigen.analysis import (
+    RELOCATION_DRAWS,
+    RelocationRecord,
     check_minimizer_structure,
     coalescence_campaign,
     family_from_spec,
@@ -242,6 +245,22 @@ def test_campaigns_smoke():
     crecs = coalescence_campaign(trials=3, seed=2, cfg=FAST)
     assert len(crecs) == 3
     assert all(r.status == "pass" for r in crecs)
+
+
+def test_relocation_campaign_is_bounded(monkeypatch):
+    """Draws failing the precondition both ways end each record as
+    inconclusive after RELOCATION_DRAWS draws instead of looping forever."""
+    calls = []
+
+    def always_fails(g0, v1, v2, h, cfg, tolerance):
+        calls.append((v1, v2))
+        return RelocationRecord(status="precondition-failed", v1=v1, v2=v2, n=g0.n, m=g0.m)
+
+    monkeypatch.setattr(analysis, "verify_relocation", always_fails)
+    recs = relocation_campaign(trials=2, seed=0, cfg=FAST)
+    assert [r.status for r in recs] == ["inconclusive", "inconclusive"]
+    assert "precondition failed both ways" in recs[0].detail
+    assert len(calls) == 2 * 2 * RELOCATION_DRAWS
 
 
 def test_family_from_spec():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from heigen import Hypergraph, hypergraph as hg
+from heigen import Hypergraph, cli, hypergraph as hg
+from heigen.canon import SearchBudgetExceeded
 from heigen.cli import main
 from heigen.hypergraph import is_hypertree
 
@@ -122,6 +123,16 @@ def test_verify_minimizer_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minimizer" in out and "summary: 1 pass" in out
     assert run("verify", "minimizer") == 2
+
+
+def test_search_budget_exceeded_is_inconclusive(monkeypatch, capsys):
+    """Exit code 1 means a violation; a canonical search that gives up is not one."""
+    def give_up(spec):
+        raise SearchBudgetExceeded("canonical search exceeded 10 nodes")
+
+    monkeypatch.setattr(cli, "family_from_spec", give_up)
+    assert run("verify", "minimizer", "--family", "hypertrees:m=2,k=4") == 2
+    assert "error: canonical search exceeded" in capsys.readouterr().err
 
 
 def test_verify_identity_suite_json(tmp_path):

@@ -133,6 +133,9 @@ def test_file_round_trip(tmp_path):
         hg.save(g, path)
         assert hg.load(path) == g
         assert hg.dumps(hg.loads(hg.dumps(g))) == hg.dumps(g)
+    # the wrap-around edge of a cycle blowup is stored last; files list edges sorted
+    g = cycle_blowup(3, 4)
+    assert hg.loads(hg.dumps(g)).edges == tuple(sorted(g.edges))
 
 
 def test_file_validation_rejects_malformed():
@@ -147,3 +150,9 @@ def test_file_validation_rejects_malformed():
         hg.loads('{"format": "hypergraph/1", "k": 4, "n": 4, "edges": [[3, 2, 1, 0]]}')
     with pytest.raises(ValueError):
         hg.loads('{"format": "hypergraph/1", "k": 4, "n": 4, "edges": [[0, 1, 2, "3"]]}')
+    with pytest.raises(ValueError):
+        hg.loads('{"format": "hypergraph/1", "k": 2, "n": 3, "edges": [[1, 2], [0, 1]]}')
+    with pytest.raises(ValueError):
+        hg.loads(good.replace('"n": 4', '"n": true'))
+    with pytest.raises(ValueError):
+        hg.loads('{"format": "hypergraph/1", "k": 2, "n": 2, "edges": [[false, true]]}')

@@ -24,8 +24,10 @@ from heigen import (
     tensor_apply,
     transport_vector,
 )
+from heigen.analysis import random_connected_hypergraph
 from heigen.constructions import RootedHypergraph
 from heigen.hypergraph import induced_subhypergraph
+from heigen.spectral import _ipow, _Kernel
 
 from corpus import corpus_graphs
 
@@ -45,6 +47,45 @@ def test_tensor_apply_hand_values():
     at_center = 2.0 * 3.0 * 4.0 + 5.0 * 6.0 * 7.0
     assert np.isclose(tensor_apply(s, x)[0], at_center)
     assert np.isclose(tensor_apply(s, x)[3], 1.0 * 2.0 * 3.0)
+    empty = tensor_apply(Hypergraph(3, 2, ()), [1.0, 2.0, 3.0])
+    assert empty.dtype == np.float64 and not empty.any()
+
+
+def loop_apply(g, x):
+    """Per-edge Python-loop reference for tensor_apply."""
+    out = [0.0] * g.n
+    for e in g.edges:
+        for v in e:
+            p = 1.0
+            for u in e:
+                if u != v:
+                    p *= x[u]
+            out[v] += p
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_batched_kernel_matches_loop_reference(k):
+    """Each row of the batched contraction equals the one-vector functions,
+    and both equal the per-edge loop within rounding."""
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        g = random_connected_hypergraph(rng, int(rng.integers(k + 2, 16)), int(rng.integers(0, 4)), k)
+        xs = rng.normal(size=(6, g.n))
+        kernel = _Kernel(g, len(xs))
+        applied, forms = kernel.apply(xs), kernel.form(xs)
+        for x, row, f in zip(xs, applied, forms):
+            assert np.array_equal(row, tensor_apply(g, x))
+            assert f == rayleigh(g, x)
+            scale = loop_apply(g, np.abs(x))  # bounds every sum's rounding
+            assert np.all(np.abs(row - loop_apply(g, x)) <= 1e-13 * scale)
+            assert abs(f - loop_apply(g, x) @ x) <= 1e-13 * (scale @ np.abs(x))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_integer_power_matches_pow(p):
+    x = np.random.default_rng(p).uniform(-2.0, 2.0, 1000)
+    assert np.all(np.abs(_ipow(x, p) - x**p) <= 1e-14 * np.abs(x**p))
 
 
 def test_rayleigh_and_residual_hand_values():
@@ -228,14 +269,8 @@ def slow_power_iteration(g, max_iters=20000):
     shift = 1.0 + max(g.degree(v) for v in range(g.n))
     hi = lo = 0.0
     for _ in range(max_iters):
-        y = [shift * xv ** (g.k - 1) for xv in x]
-        for e in g.edges:
-            for v in e:
-                p = 1.0
-                for u in e:
-                    if u != v:
-                        p *= x[u]
-                y[v] += p
+        ax = loop_apply(g, x)
+        y = [shift * xv ** (g.k - 1) + av for xv, av in zip(x, ax)]
         ratios = [y[i] / x[i] ** (g.k - 1) for i in range(g.n)]
         hi, lo = max(ratios), min(ratios)
         if hi - lo < 1e-9:
