@@ -152,7 +152,7 @@ def _eigen_command(args, runner, label: str) -> int:
         print(f"{label} = {result.eigenvalue:.6f}")
         print(f"residual = {result.residual:.3e}")
         print(f"converged = {'yes' if result.converged else 'no'}")
-        print(f"restarts_used = {result.restarts_used}")
+        print(f"iterations = {result.iterations}")
     return 0 if result.converged else 2
 
 

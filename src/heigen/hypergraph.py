@@ -1,7 +1,8 @@
 """k-uniform hypergraphs: storage, structural predicates, odd bipartitions, file I/O.
 
 Vertices are the integers 0..n-1.  Edges are k-element subsets of the vertex
-set, stored as sorted tuples in insertion order with set semantics.
+set, stored as sorted tuples in insertion order with set semantics: graphs
+with the same n, k and edge set are equal whatever their edge order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 FILE_FORMAT = "hypergraph/1"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertex set {0, ..., n-1}."""
 
@@ -50,6 +51,18 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (self.n, self.k, self._edge_set) == (other.n, other.k, other._edge_set)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self._edge_set))
 
     @cached_property
     def edge_array(self) -> np.ndarray:

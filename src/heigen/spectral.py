@@ -7,6 +7,14 @@ k-norm sphere; it is found by multi-restart projected gradient descent and
 cross-checked elsewhere by brute-force sampling.  The spectral radius of a
 connected graph comes from a shifted nonnegative power iteration.
 
+Descent stops once its incumbent is certified.  At iterations 25, 50, 100,
+... (doubling from ``FIRST_CHECK``, at most ``max_iters``) the best row is
+polished by the SS-HOPM-style fixed-point map; the descent stops when the
+polished residual is at most ``CERTIFY_TOLERANCE`` and its eigenvalue
+equals the previous check's certified eigenvalue to that relative
+tolerance.  Otherwise it runs until every row has frozen or the iteration
+cap is reached, and the final incumbent is polished.
+
 One batched O(m*k) kernel serves every contraction: edge products by
 column multiplies, and the scatter onto vertices by one bincount.  Integer
 powers are repeated multiplications.  Contraction, descent, polish and
@@ -25,6 +33,11 @@ from .constructions import Relocation
 
 RESIDUAL_TOLERANCE = 1e-8
 EIGENVALUE_TOLERANCE = 1e-6
+# The descent's first certification check; later checks double it.
+FIRST_CHECK = 25
+# Residual at which a polished incumbent counts as certified, and the
+# relative agreement two certified checks in a row must show to stop.
+CERTIFY_TOLERANCE = 1e-12
 
 
 class UnsupportedUniformityError(ValueError):
@@ -36,7 +49,6 @@ class SolverConfig:
     restarts: int = 32
     max_iters: int = 2000
     gradient_tolerance: float = 1e-10
-    step_rule: str = "backtracking"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,15 +58,12 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.step_rule != "backtracking":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
     def to_json_dict(self) -> dict:
         return {
             "restarts": self.restarts,
             "max_iters": self.max_iters,
             "gradient_tolerance": self.gradient_tolerance,
-            "step_rule": self.step_rule,
             "seed": self.seed,
         }
 
@@ -64,7 +73,7 @@ class EigenResult:
     eigenvalue: float
     vector: np.ndarray
     residual: float
-    restarts_used: int
+    iterations: int  # descent iterations, or power-iteration steps for the radius
     converged: bool
 
     def to_json_dict(self) -> dict:
@@ -73,7 +82,7 @@ class EigenResult:
             "vector": [float(v) for v in self.vector],
             "residual": self.residual,
             "converged": self.converged,
-            "restarts_used": self.restarts_used,
+            "iterations": self.iterations,
         }
 
 
@@ -181,20 +190,25 @@ def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
     return xs / norms[:, None]
 
 
-def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -> tuple[float, np.ndarray, float, int]:
     """Projected normalized-gradient descent on the unit k-norm sphere,
     run on a batch of starts at once.  Every row follows exactly its own
     backtracking trajectory; rows freeze once their projected gradient
-    drops below tolerance or their line search stops making progress."""
+    drops below tolerance or their line search stops making progress.
+
+    Returns the polished eigenpair of the best row, as (lambda, vector,
+    residual), and the number of iterations run: fewer than ``max_iters``
+    when every row froze or a check certified the incumbent."""
     k = g.k
     xs = _normalized_rows(np.atleast_2d(np.asarray(x0, dtype=np.float64)), k)
     kernel = _Kernel(g, len(xs))
     fs = kernel.form(xs)
     steps = np.ones(len(xs))
     active = np.ones(len(xs), dtype=bool)
-    for _ in range(max_iters):
-        if not active.any():
-            break
+    check, certified = FIRST_CHECK, None
+    iterations = 0
+    while iterations < max_iters and active.any():
+        iterations += 1
         rows = np.nonzero(active)[0]
         x = xs[rows]
         grad = k * kernel.apply(x)
@@ -205,7 +219,7 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
         active[rows[converged]] = False
         live = ~converged
         if not live.any():
-            continue
+            continue  # every active row froze, so the loop ends
         rows = rows[live]
         x = x[live]
         gnorm = np.linalg.norm(gproj[live], axis=1)
@@ -227,29 +241,45 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
             t[s[~ok]] *= 0.5
         # rows whose decrease fell below float resolution are done
         active[rows[searching]] = False
-    return fs, xs
+        if iterations == check:
+            check *= 2
+            # a copy: a row of xs is overwritten as descent goes on
+            lam, vec, res = _polish(g, xs[int(np.argmin(fs))].copy())
+            if res > CERTIFY_TOLERANCE:
+                certified = None
+            elif certified is not None and abs(lam - certified) <= CERTIFY_TOLERANCE * abs(certified):
+                return lam, vec, res, iterations
+            else:
+                certified = lam
+    lam, vec, res = _polish(g, xs[int(np.argmin(fs))].copy())
+    return lam, vec, res, iterations
 
 
-def _polish_once(g: Hypergraph, x: np.ndarray, rounds: int) -> tuple[float, np.ndarray, float]:
+def _eigen_terms(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """rayleigh, tensor_apply and residual of one vector, from one kernel."""
+    row = x[None, :]
+    lam = float(kernel.form(row)[0])
+    ax = kernel.apply(row)[0]
+    return lam, ax, float(np.max(np.abs(ax - lam * _ipow(x, kernel.k - 1))))
+
+
+def _polish_once(kernel: _Kernel, x: np.ndarray, rounds: int) -> tuple[float, np.ndarray, float]:
     """Fixed-point refinement of a near-eigenpair, kept only while the
     residual improves.  k-1 is odd for even k, so signed roots are exact."""
-    k = g.k
-    lam = rayleigh(g, x)
-    best = (lam, x, residual(g, lam, x))
-    cur = x
+    k = kernel.k
+    lam, ax, res = _eigen_terms(kernel, x)
+    best = (lam, x, res)
     for _ in range(rounds):
-        lam = rayleigh(g, cur)
         if abs(lam) < 1e-12:
             break
-        z = tensor_apply(g, cur) / lam
+        z = ax / lam
         try:
             cur = _normalized(np.sign(z) * np.abs(z) ** (1.0 / (k - 1)), k)
         except ValueError:
             break
-        lam_next = rayleigh(g, cur)
-        res = residual(g, lam_next, cur)
+        lam, ax, res = _eigen_terms(kernel, cur)
         if res < best[2]:
-            best = (lam_next, cur, res)
+            best = (lam, cur, res)
         else:
             break
     return best
@@ -264,8 +294,9 @@ def _polish(g: Hypergraph, x: np.ndarray, rounds: int = 40) -> tuple[float, np.n
     fixed-point map both stall at small nonzero values; snapping reaches the
     exact zero-extended eigenpair.  Candidates compete on residual only.
     """
-    best = _polish_once(g, x, rounds)
-    if best[2] <= 1e-12:
+    kernel = _Kernel(g)
+    best = _polish_once(kernel, x, rounds)
+    if best[2] <= CERTIFY_TOLERANCE:
         return best
     scale = float(np.max(np.abs(x)))
     tried = set()
@@ -276,7 +307,7 @@ def _polish(g: Hypergraph, x: np.ndarray, rounds: int = 40) -> tuple[float, np.n
             continue
         tried.add(key)
         snapped = np.where(mask, 0.0, x)
-        cand = _polish_once(g, _normalized(snapped, g.k), rounds)
+        cand = _polish_once(kernel, _normalized(snapped, g.k), rounds)
         if cand[2] < best[2]:
             best = cand
     return best
@@ -301,14 +332,12 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenR
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(-1.0, 1.0, (cfg.restarts, g.n))
     starts[~np.any(starts, axis=1)] = 0.5
-    fs, xs = _descend_batch(g, starts, cfg.max_iters, cfg.gradient_tolerance)
-    best = int(np.argmin(fs))
-    lam, x, res = _polish(g, xs[best])
+    lam, x, res, iterations = _descend_batch(g, starts, cfg.max_iters, cfg.gradient_tolerance)
     return EigenResult(
         eigenvalue=lam,
         vector=x,
         residual=res,
-        restarts_used=cfg.restarts,
+        iterations=iterations,
         converged=res < RESIDUAL_TOLERANCE,
     )
 
@@ -327,11 +356,12 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     if not is_connected(g):
         raise ValueError("spectral radius iteration requires a connected graph")
     k = g.k
+    kernel = _Kernel(g)
     shift = 1.0 + max(g.degree(v) for v in range(g.n))
     x = _normalized(np.ones(g.n), k)
-    for _ in range(cfg.max_iters):
+    for iterations in range(1, cfg.max_iters + 1):
         xp = _ipow(x, k - 1)
-        y = tensor_apply(g, x) + shift * xp
+        y = kernel.apply(x[None, :])[0] + shift * xp
         ratios = y / xp
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         x = _normalized(y ** (1.0 / (k - 1)), k)
@@ -342,7 +372,7 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
         eigenvalue=lam,
         vector=x,
         residual=res,
-        restarts_used=1,
+        iterations=iterations,
         converged=res < RESIDUAL_TOLERANCE,
     )
 
@@ -381,13 +411,12 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
     # local minimum even when the sampled value itself is the lowest
     candidates.sort(key=lambda pair: pair[0])
     starts = np.stack([x for _, x in candidates[:8]])
-    fs, xs = _descend_batch(g, starts, refine_iters, 1e-10)
-    lam, x, res = _polish(g, xs[int(np.argmin(fs))])
+    lam, x, res, iterations = _descend_batch(g, starts, refine_iters, 1e-10)
     return EigenResult(
         eigenvalue=lam,
         vector=x,
         residual=res,
-        restarts_used=samples,
+        iterations=iterations,
         converged=res < RESIDUAL_TOLERANCE,
     )
 

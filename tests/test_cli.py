@@ -60,6 +60,7 @@ def test_lambda_min_human_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lambda_min = -1.000000" in out
     assert "converged = yes" in out
+    assert "iterations = " in out and "restarts_used" not in out
 
 
 def test_lambda_min_json_payload(tmp_path):
@@ -70,6 +71,7 @@ def test_lambda_min_json_payload(tmp_path):
     payload = json.loads(open(out).read())
     assert payload["schema"] == "heigen-eigen/1"
     assert abs(payload["lambda"] + 2.0 ** 0.25) <= 1e-6
+    assert 1 <= payload["iterations"] <= 2000 and "restarts_used" not in payload
     assert payload["manifest"]["inputs"][src] == hg.file_sha256(src)
     assert payload["manifest"]["version"]
 

@@ -135,7 +135,11 @@ def test_file_round_trip(tmp_path):
         assert hg.dumps(hg.loads(hg.dumps(g))) == hg.dumps(g)
     # the wrap-around edge of a cycle blowup is stored last; files list edges sorted
     g = cycle_blowup(3, 4)
-    assert hg.loads(hg.dumps(g)).edges == tuple(sorted(g.edges))
+    back = hg.loads(hg.dumps(g))
+    assert back.edges == tuple(sorted(g.edges))
+    # equality and hashing go by the edge set, not the stored order
+    assert back == g and hash(back) == hash(g)
+    assert back != Hypergraph(g.n + 1, g.k, g.edges)
 
 
 def test_file_validation_rejects_malformed():

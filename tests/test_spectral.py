@@ -27,6 +27,7 @@ from heigen import (
 from heigen.analysis import random_connected_hypergraph
 from heigen.constructions import RootedHypergraph
 from heigen.hypergraph import induced_subhypergraph
+from heigen import spectral
 from heigen.spectral import _ipow, _Kernel
 
 from corpus import corpus_graphs
@@ -146,10 +147,8 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(step_rule="newton")
     d = SolverConfig().to_json_dict()
-    assert d["restarts"] == 32 and d["step_rule"] == "backtracking"
+    assert d["restarts"] == 32
 
 
 def test_eigen_result_invariants():
@@ -163,6 +162,7 @@ def test_eigen_result_invariants():
         d = res.to_json_dict()
         assert "lambda" in d and np.isclose(d["lambda"], res.eigenvalue)
         assert len(d["vector"]) == g.n
+        assert d["iterations"] == res.iterations and 1 <= res.iterations <= FAST.max_iters
 
 
 def test_single_edge_closed_form():
@@ -177,6 +177,31 @@ def test_hyperstar_closed_form():
         assert abs(res.eigenvalue + m**0.25) <= 1e-8
     res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST)
     assert abs(res.eigenvalue + 2.0) <= 1e-9
+
+
+def test_descent_stops_once_certified():
+    res = least_h_eigenvalue(hyperstar(3, 4).graph, FAST)
+    assert res.iterations < FAST.max_iters
+    assert res.residual <= spectral.CERTIFY_TOLERANCE
+    assert abs(res.eigenvalue + 3**0.25) <= 1e-12
+
+
+def test_uncertified_descent_runs_to_the_cap():
+    # K_{1,4}: the polished residual stalls near 2.4e-8, above the certify level
+    res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST)
+    assert res.residual > spectral.CERTIFY_TOLERANCE
+    assert res.iterations == FAST.max_iters
+
+
+def test_certified_stop_keeps_the_eigenvalue(monkeypatch):
+    graphs = [g for g in corpus_graphs() if g.m and g.k % 2 == 0]
+    stopped = [least_h_eigenvalue(g, FAST) for g in graphs]
+    monkeypatch.setattr(spectral, "FIRST_CHECK", FAST.max_iters + 1)
+    for g, early in zip(graphs, stopped):
+        full = least_h_eigenvalue(g, FAST)
+        assert early.iterations <= full.iterations
+        assert abs(early.eigenvalue - full.eigenvalue) <= 1e-12
+        assert early.converged == full.converged
 
 
 def test_solver_agrees_with_brute_force():
@@ -245,7 +270,9 @@ def test_odd_bipartite_identity_spot_check():
 
 
 def test_spectral_radius_closed_forms():
-    assert abs(spectral_radius(single_edge(4)).eigenvalue - 1.0) <= 1e-10
+    r = spectral_radius(single_edge(4))
+    assert abs(r.eigenvalue - 1.0) <= 1e-10
+    assert 1 <= r.iterations <= SolverConfig().max_iters
     assert abs(spectral_radius(single_edge(2)).eigenvalue - 1.0) <= 1e-10
     for m in (2, 3, 5):
         r = spectral_radius(hyperstar(m, 4).graph)
