@@ -11,7 +11,7 @@ non-convergent solves poison a record to inconclusive, never to pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -124,10 +124,16 @@ class SearchReport:
             "schema": "heigen-report/1",
             "family": self.family,
             "tolerance": self.tolerance,
-            "solver": self.config.to_json_dict(),
+            "solver": asdict(self.config),
             "entries": [e.to_json_dict() for e in self.entries],
             "minimizer_indices": list(self.minimizer_indices),
         }
+
+
+# find_minimizer's oracle cross-check: the most vertices a member may have,
+# and the magnitude profiles brute_force_min samples.
+ORACLE_MAX_N = 10
+ORACLE_SAMPLES = 256
 
 
 def find_minimizer(
@@ -135,12 +141,10 @@ def find_minimizer(
     cfg: SolverConfig | None = None,
     tolerance: float = EIGENVALUE_TOLERANCE,
     family_name: str = "",
-    oracle_max_n: int = 10,
-    oracle_samples: int = 256,
 ) -> SearchReport:
     """Least eigenvalue of every member, with the minimizing members marked.
 
-    Members with at most ``oracle_max_n`` vertices are cross-checked against
+    Members with at most ``ORACLE_MAX_N`` vertices are cross-checked against
     the brute-force oracle; the gap is recorded per entry.  Ties within
     tolerance are reported as multiple minimizers, never broken.
     """
@@ -152,8 +156,8 @@ def find_minimizer(
     for g in family:
         r = least_h_eigenvalue(g, cfg)
         gap = None
-        if g.n <= oracle_max_n:
-            o = brute_force_min(g, oracle_samples, cfg.max_iters, cfg.seed)
+        if g.n <= ORACLE_MAX_N:
+            o = brute_force_min(g, ORACLE_SAMPLES, cfg.max_iters, cfg.seed)
             gap = abs(r.eigenvalue - o.eigenvalue)
         entries.append(
             SearchEntry(
@@ -191,24 +195,6 @@ class RelocationRecord:
     x_v1: float | None = None
     x_v2: float | None = None
     detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "v1": self.v1,
-            "v2": self.v2,
-            "n": self.n,
-            "m": self.m,
-            "case": self.case,
-            "lambda_before": self.lambda_before,
-            "lambda_after": self.lambda_after,
-            "transported_value": self.transported_value,
-            "scale": self.scale,
-            "host_contribution": self.host_contribution,
-            "x_v1": self.x_v1,
-            "x_v2": self.x_v2,
-            "detail": self.detail,
-        }
 
 
 def verify_relocation(
@@ -274,20 +260,6 @@ class CoalescenceRecord:
     branch_root_sum: float | None = None
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "root": self.root,
-            "n_host": self.n_host,
-            "n_merged": self.n_merged,
-            "lambda_host": self.lambda_host,
-            "lambda_merged": self.lambda_merged,
-            "root_value": self.root_value,
-            "strict_required": self.strict_required,
-            "branch_root_sum": self.branch_root_sum,
-            "detail": self.detail,
-        }
-
 
 def verify_coalescence_monotonicity(
     g0: RootedHypergraph,
@@ -335,18 +307,6 @@ class IdentityRecord:
     gap: float | None = None
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "n": self.n,
-            "m": self.m,
-            "has_witness": self.has_witness,
-            "lambda_min": self.lambda_min,
-            "rho": self.rho,
-            "gap": self.gap,
-            "detail": self.detail,
-        }
-
 
 def verify_odd_bipartite_identity(
     g: Hypergraph,
@@ -359,14 +319,9 @@ def verify_odd_bipartite_identity(
     bip = find_odd_bipartition(g)
     lo = least_h_eigenvalue(g, cfg)
     hi = spectral_radius(g, cfg)
+    base = dict(n=g.n, m=g.m, has_witness=bip is not None)
     if not (lo.converged and hi.converged):
-        return IdentityRecord(
-            status="inconclusive",
-            n=g.n,
-            m=g.m,
-            has_witness=bip is not None,
-            detail="a solve did not converge",
-        )
+        return IdentityRecord(status="inconclusive", detail="a solve did not converge", **base)
     gap = lo.eigenvalue + hi.eigenvalue
     if bip is not None:
         ok = abs(gap) <= tolerance
@@ -374,12 +329,10 @@ def verify_odd_bipartite_identity(
         ok = gap > tolerance
     return IdentityRecord(
         status="pass" if ok else "violation",
-        n=g.n,
-        m=g.m,
-        has_witness=bip is not None,
         lambda_min=lo.eigenvalue,
         rho=hi.eigenvalue,
         gap=gap,
+        **base,
     )
 
 

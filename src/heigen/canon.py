@@ -49,7 +49,8 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
     edge_classes: list[set[int]] = []
     for e in g.edges:
         cs = {class_of[v] for v in e}
-        assert sum(sizes[i] for i in cs) == g.k
+        if sum(sizes[i] for i in cs) != g.k:
+            raise RuntimeError(f"edge {e} splits a twin class")
         edge_classes.append(cs)
     class_edges: list[list[int]] = [[] for _ in range(r)]
     for j, cs in enumerate(edge_classes):
@@ -114,7 +115,8 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
             used[c] = False
 
     descend(0)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical search ended without a labelling")
     return (g.n, g.k, tuple(best))
 
 

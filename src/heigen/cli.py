@@ -2,23 +2,25 @@
 run verification suites.
 
 Exit codes: 0 success / all checks pass; 1 a verification suite found a
-violation; 2 non-convergence, inconclusive results, or usage errors; 3
-odd uniformity where even is required.  All randomness flows from --seed.
-Every JSON report embeds a manifest (command, seed, solver config, input
-digests, version); identical manifests give byte-identical output.
+violation; 2 non-convergence, inconclusive results, usage errors, or any
+other error; 3 odd uniformity where even is required.  All randomness
+flows from --seed.  Every JSON report embeds a manifest (command, seed,
+solver config, input digests, version); identical manifests give
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 
 from . import __version__
 from . import hypergraph as hg
-from .canon import SearchBudgetExceeded
 from .constructions import blowup_power, complete_hypergraph, hyperstar, kth_power_of_graph
 from .spectral import (
     SolverConfig,
@@ -57,7 +59,7 @@ def _manifest(args, inputs: dict[str, str]) -> dict:
     return {
         "command": command,
         "seed": args.seed,
-        "solver": _solver_config(args).to_json_dict(),
+        "solver": dataclasses.asdict(_solver_config(args)),
         "inputs": inputs,
         "version": __version__,
     }
@@ -174,111 +176,95 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _fmt(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6f}"
+
+
+def _trials(args, default: int) -> int:
+    return default if args.trials is None else args.trials
+
+
+def _identity_records(args, cfg: SolverConfig) -> list:
+    graphs = family_from_spec(args.family)[1] if args.family else identity_corpus()
+    return [verify_odd_bipartite_identity(g, cfg, args.tolerance) for g in graphs]
+
+
+# Suites that report one record per instance: the campaign, the record
+# fields the CSV shows after ``index``, and the text line after the status.
+RECORD_SUITES = {
+    "relocation": (
+        lambda args, cfg: relocation_campaign(_trials(args, 30), args.seed, cfg, args.tolerance),
+        ("status", "case", "lambda_before", "lambda_after", "transported_value"),
+        lambda r: (
+            f"case={r.case} lambda_before={_fmt(r.lambda_before)} "
+            f"lambda_after={_fmt(r.lambda_after)} transported={_fmt(r.transported_value)}"
+        ),
+    ),
+    "coalescence": (
+        lambda args, cfg: coalescence_campaign(_trials(args, 20), args.seed, cfg, args.tolerance),
+        ("status", "lambda_host", "lambda_merged", "root_value", "branch_root_sum"),
+        lambda r: (
+            f"lambda_host={_fmt(r.lambda_host)} lambda_merged={_fmt(r.lambda_merged)} "
+            f"root_value={_fmt(r.root_value)} branch_root_sum={_fmt(r.branch_root_sum)}"
+        ),
+    ),
+    "odd-bipartite-identity": (
+        _identity_records,
+        ("status", "n", "m", "has_witness", "lambda_min", "rho", "gap"),
+        lambda r: (
+            f"n={r.n} m={r.m} witness={'yes' if r.has_witness else 'no'} "
+            f"lambda_min={_fmt(r.lambda_min)} rho={_fmt(r.rho)}"
+        ),
+    ),
+}
+# The minimizer suite's CSV: these fields of each report entry, between
+# ``index`` and the ``minimizer`` mark.
+MINIMIZER_COLUMNS = ("n", "m", "lambda", "residual", "converged")
+
+
+def _verify_minimizer(args, cfg: SolverConfig, payload: dict) -> tuple[list[str], list[dict], list[str]]:
+    """One family search: the report, its status and detail go into the
+    payload; returns the text lines, the CSV rows and the status."""
+    if not args.family:
+        raise ValueError("verify minimizer requires --family")
+    name, family, refs = family_from_spec(args.family)
+    report = find_minimizer(family, cfg, args.tolerance, family_name=name)
+    status, detail = check_minimizer_structure(report, refs)
+    payload["report"] = report.to_json_dict()
+    payload["status"] = status
+    payload["detail"] = detail
+    lines: list[str] = []
+    csv_rows: list[dict] = []
+    for i, e in enumerate(payload["report"]["entries"]):
+        best = i in report.minimizer_indices
+        lines.append(
+            f"[{i:02d}] n={e['n']} m={e['m']} lambda={_fmt(e['lambda'])}"
+            f" converged={'yes' if e['converged'] else 'no'}{' <- minimizer' if best else ''}"
+        )
+        csv_rows.append({"index": i, **{c: e[c] for c in MINIMIZER_COLUMNS}, "minimizer": best})
+    lines.append(f"{status}{': ' + detail if detail else ''}")
+    return lines, csv_rows, [status]
+
+
 def cmd_verify(args) -> int:
     cfg = _solver_config(args)
-    tol = args.tolerance
     payload: dict = {
         "schema": "heigen-verify/1",
         "manifest": _manifest(args, {}),
         "suite": args.suite,
-        "tolerance": tol,
+        "tolerance": args.tolerance,
     }
-    lines: list[str] = []
-    csv_rows: list[dict] = []
-    if args.suite == "relocation":
-        records = relocation_campaign(args.trials or 30, args.seed, cfg, tol)
-        payload["records"] = [r.to_json_dict() for r in records]
-        for i, r in enumerate(records):
-            lines.append(
-                f"[{i:02d}] {r.status}: case={r.case} lambda_before={_fmt(r.lambda_before)} "
-                f"lambda_after={_fmt(r.lambda_after)} transported={_fmt(r.transported_value)}"
-            )
-            csv_rows.append(
-                {
-                    "index": i,
-                    "status": r.status,
-                    "case": r.case,
-                    "lambda_before": r.lambda_before,
-                    "lambda_after": r.lambda_after,
-                    "transported_value": r.transported_value,
-                }
-            )
-        statuses = [r.status for r in records]
-    elif args.suite == "coalescence":
-        records = coalescence_campaign(args.trials or 20, args.seed, cfg, tol)
-        payload["records"] = [r.to_json_dict() for r in records]
-        for i, r in enumerate(records):
-            lines.append(
-                f"[{i:02d}] {r.status}: lambda_host={_fmt(r.lambda_host)} "
-                f"lambda_merged={_fmt(r.lambda_merged)} root_value={_fmt(r.root_value)} "
-                f"branch_root_sum={_fmt(r.branch_root_sum)}"
-            )
-            csv_rows.append(
-                {
-                    "index": i,
-                    "status": r.status,
-                    "lambda_host": r.lambda_host,
-                    "lambda_merged": r.lambda_merged,
-                    "root_value": r.root_value,
-                    "branch_root_sum": r.branch_root_sum,
-                }
-            )
-        statuses = [r.status for r in records]
-    elif args.suite == "minimizer":
-        if not args.family:
-            raise ValueError("verify minimizer requires --family")
-        name, family, refs = family_from_spec(args.family)
-        report = find_minimizer(family, cfg, tol, family_name=name)
-        status, detail = check_minimizer_structure(report, refs)
-        payload["report"] = report.to_json_dict()
-        payload["status"] = status
-        payload["detail"] = detail
-        for i, e in enumerate(report.entries):
-            marker = " <- minimizer" if i in report.minimizer_indices else ""
-            lines.append(
-                f"[{i:02d}] n={e.graph.n} m={e.graph.m} lambda={_fmt(e.eigenvalue)}"
-                f" converged={'yes' if e.converged else 'no'}{marker}"
-            )
-            csv_rows.append(
-                {
-                    "index": i,
-                    "n": e.graph.n,
-                    "m": e.graph.m,
-                    "lambda": e.eigenvalue,
-                    "residual": e.residual,
-                    "converged": e.converged,
-                    "minimizer": i in report.minimizer_indices,
-                }
-            )
-        lines.append(f"{status}{': ' + detail if detail else ''}")
-        statuses = [status]
-    elif args.suite == "odd-bipartite-identity":
-        if args.family:
-            _, graphs, _ = family_from_spec(args.family)
-        else:
-            graphs = identity_corpus()
-        records = [verify_odd_bipartite_identity(g, cfg, tol) for g in graphs]
-        payload["records"] = [r.to_json_dict() for r in records]
-        for i, r in enumerate(records):
-            lines.append(
-                f"[{i:02d}] {r.status}: n={r.n} m={r.m} witness={'yes' if r.has_witness else 'no'}"
-                f" lambda_min={_fmt(r.lambda_min)} rho={_fmt(r.rho)}"
-            )
-            csv_rows.append(
-                {
-                    "index": i,
-                    "status": r.status,
-                    "n": r.n,
-                    "m": r.m,
-                    "has_witness": r.has_witness,
-                    "lambda_min": r.lambda_min,
-                    "rho": r.rho,
-                    "gap": r.gap,
-                }
-            )
-        statuses = [r.status for r in records]
+    if args.suite == "minimizer":
+        lines, csv_rows, statuses = _verify_minimizer(args, cfg, payload)
     else:
-        raise ValueError(f"unknown suite {args.suite!r}")
+        campaign, columns, line = RECORD_SUITES[args.suite]
+        records = campaign(args, cfg)
+        payload["records"] = [dataclasses.asdict(r) for r in records]
+        lines = [f"[{i:02d}] {r.status}: {line(r)}" for i, r in enumerate(records)]
+        csv_rows = [
+            {"index": i, **{c: d[c] for c in columns}} for i, d in enumerate(payload["records"])
+        ]
+        statuses = [r.status for r in records]
 
     violations = sum(s == "violation" for s in statuses)
     inconclusive = sum(s not in ("pass", "violation") for s in statuses)
@@ -299,8 +285,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _fmt(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.6f}"
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _finite_nonnegative(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -340,8 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", choices=["relocation", "coalescence", "minimizer", "odd-bipartite-identity"]
     )
     p.add_argument("--family", help="family spec, e.g. hypertrees:m=3,k=4 or Tm:complete:5:4,m=2")
-    p.add_argument("--trials", type=int, help="instance count for randomized suites")
-    p.add_argument("--tolerance", type=float, default=1e-6, help="eigenvalue comparison tolerance")
+    p.add_argument("--trials", type=_at_least_one, help="instance count for randomized suites")
+    p.add_argument(
+        "--tolerance", type=_finite_nonnegative, default=1e-6, help="eigenvalue comparison tolerance"
+    )
     p.add_argument("--csv", help="also write an eigenvalue table to this path")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -362,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedUniformityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError, SearchBudgetExceeded) as exc:
+    except Exception as exc:  # exit 1 is reserved for a violation found
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

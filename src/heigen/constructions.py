@@ -193,7 +193,8 @@ def relocate(host: Hypergraph, v1: int, v2: int, branch: RootedHypergraph) -> Re
         raise ValueError("relocation endpoints must be distinct")
     at_v2 = coalesce(RootedHypergraph(host, v2), branch)
     at_v1 = coalesce(RootedHypergraph(host, v1), branch)
-    assert at_v1.branch_edges == at_v2.branch_edges
+    if at_v1.branch_edges != at_v2.branch_edges:
+        raise RuntimeError("the two coalescences index the branch edges differently")
     branch_vertices = tuple(
         w for v, w in enumerate(at_v2.branch_vertex_map) if v != branch.root
     )

@@ -200,7 +200,8 @@ def find_odd_bipartition(g: Hypergraph) -> Bipartition | None:
     for i, col in enumerate(pivots):
         side[col] = int(a[i, g.n])
     bip = Bipartition(tuple(side))
-    assert is_odd_bipartition(g, bip)
+    if not is_odd_bipartition(g, bip):
+        raise RuntimeError("the GF(2) solution is not an odd bipartition")
     return bip
 
 

@@ -38,6 +38,10 @@ FIRST_CHECK = 25
 # Residual at which a polished incumbent counts as certified, and the
 # relative agreement two certified checks in a row must show to stop.
 CERTIFY_TOLERANCE = 1e-12
+# Max-norm of the projected gradient below which a descent row freezes.
+GRADIENT_TOLERANCE = 1e-10
+# Fixed-point rounds per polish candidate.
+POLISH_ROUNDS = 40
 
 
 class UnsupportedUniformityError(ValueError):
@@ -48,7 +52,6 @@ class UnsupportedUniformityError(ValueError):
 class SolverConfig:
     restarts: int = 32
     max_iters: int = 2000
-    gradient_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -56,16 +59,6 @@ class SolverConfig:
             raise ValueError("restarts must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "gradient_tolerance": self.gradient_tolerance,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +183,7 @@ def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
     return xs / norms[:, None]
 
 
-def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -> tuple[float, np.ndarray, float, int]:
+def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float, np.ndarray, float, int]:
     """Projected normalized-gradient descent on the unit k-norm sphere,
     run on a batch of starts at once.  Every row follows exactly its own
     backtracking trajectory; rows freeze once their projected gradient
@@ -215,7 +208,7 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int, gtol: float) -
         normal = _ipow(x, k - 1)  # gradient of the constraint, up to the factor k
         coef = np.sum(grad * normal, axis=1) / np.sum(normal * normal, axis=1)
         gproj = grad - coef[:, None] * normal
-        converged = np.max(np.abs(gproj), axis=1) < gtol
+        converged = np.max(np.abs(gproj), axis=1) < GRADIENT_TOLERANCE
         active[rows[converged]] = False
         live = ~converged
         if not live.any():
@@ -263,13 +256,13 @@ def _eigen_terms(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, flo
     return lam, ax, float(np.max(np.abs(ax - lam * _ipow(x, kernel.k - 1))))
 
 
-def _polish_once(kernel: _Kernel, x: np.ndarray, rounds: int) -> tuple[float, np.ndarray, float]:
+def _polish_once(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Fixed-point refinement of a near-eigenpair, kept only while the
     residual improves.  k-1 is odd for even k, so signed roots are exact."""
     k = kernel.k
     lam, ax, res = _eigen_terms(kernel, x)
     best = (lam, x, res)
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         if abs(lam) < 1e-12:
             break
         z = ax / lam
@@ -285,7 +278,7 @@ def _polish_once(kernel: _Kernel, x: np.ndarray, rounds: int) -> tuple[float, np
     return best
 
 
-def _polish(g: Hypergraph, x: np.ndarray, rounds: int = 40) -> tuple[float, np.ndarray, float]:
+def _polish(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Best eigenpair certificate near x: refine x itself, and also variants
     with near-zero entries snapped to exact zero.
 
@@ -295,7 +288,7 @@ def _polish(g: Hypergraph, x: np.ndarray, rounds: int = 40) -> tuple[float, np.n
     exact zero-extended eigenpair.  Candidates compete on residual only.
     """
     kernel = _Kernel(g)
-    best = _polish_once(kernel, x, rounds)
+    best = _polish_once(kernel, x)
     if best[2] <= CERTIFY_TOLERANCE:
         return best
     scale = float(np.max(np.abs(x)))
@@ -307,10 +300,16 @@ def _polish(g: Hypergraph, x: np.ndarray, rounds: int = 40) -> tuple[float, np.n
             continue
         tried.add(key)
         snapped = np.where(mask, 0.0, x)
-        cand = _polish_once(kernel, _normalized(snapped, g.k), rounds)
+        cand = _polish_once(kernel, _normalized(snapped, g.k))
         if cand[2] < best[2]:
             best = cand
     return best
+
+
+def _result(lam: float, x: np.ndarray, res: float, iterations: int) -> EigenResult:
+    """An eigenpair counts as converged when its residual is below
+    RESIDUAL_TOLERANCE, whichever solver found it."""
+    return EigenResult(lam, x, res, iterations, converged=res < RESIDUAL_TOLERANCE)
 
 
 def _check_solvable(g: Hypergraph) -> None:
@@ -332,14 +331,8 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenR
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(-1.0, 1.0, (cfg.restarts, g.n))
     starts[~np.any(starts, axis=1)] = 0.5
-    lam, x, res, iterations = _descend_batch(g, starts, cfg.max_iters, cfg.gradient_tolerance)
-    return EigenResult(
-        eigenvalue=lam,
-        vector=x,
-        residual=res,
-        iterations=iterations,
-        converged=res < RESIDUAL_TOLERANCE,
-    )
+    lam, x, res, iterations = _descend_batch(g, starts, cfg.max_iters)
+    return _result(lam, x, res, iterations)
 
 
 def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
@@ -368,13 +361,7 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     lam, x, res = _polish(g, x)
-    return EigenResult(
-        eigenvalue=lam,
-        vector=x,
-        residual=res,
-        iterations=iterations,
-        converged=res < RESIDUAL_TOLERANCE,
-    )
+    return _result(lam, x, res, iterations)
 
 
 def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000, seed: int = 0) -> EigenResult:
@@ -411,14 +398,8 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
     # local minimum even when the sampled value itself is the lowest
     candidates.sort(key=lambda pair: pair[0])
     starts = np.stack([x for _, x in candidates[:8]])
-    lam, x, res, iterations = _descend_batch(g, starts, refine_iters, 1e-10)
-    return EigenResult(
-        eigenvalue=lam,
-        vector=x,
-        residual=res,
-        iterations=iterations,
-        converged=res < RESIDUAL_TOLERANCE,
-    )
+    lam, x, res, iterations = _descend_batch(g, starts, refine_iters)
+    return _result(lam, x, res, iterations)
 
 
 def branch_contribution(g: Hypergraph, x, branch_edges, root: int) -> float:

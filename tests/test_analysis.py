@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_verify_relocation_improves_toward_center():
     assert rec.case in ("positive", "zero", "negative")
     assert abs(rec.x_v1) >= abs(rec.x_v2)
     assert rec.transported_value <= rec.lambda_before + 1e-6
-    d = rec.to_json_dict()
+    d = asdict(rec)
     assert d["status"] == "pass" and d["n"] == host.n + 3
 
 
@@ -188,7 +189,7 @@ def test_verify_relocation_precondition_status():
     assert one_way.status == "precondition-failed"
     assert other.status == "precondition-failed"
     assert one_way.lambda_after is None
-    assert "|x[v1]|" in one_way.to_json_dict()["detail"]
+    assert "|x[v1]|" in asdict(one_way)["detail"]
 
 
 def test_verify_coalescence_single_edges():
@@ -200,7 +201,7 @@ def test_verify_coalescence_single_edges():
     assert abs(rec.lambda_merged + 2.0 ** 0.25) <= 1e-8
     assert rec.strict_required
     assert rec.branch_root_sum <= 1e-9
-    assert rec.to_json_dict()["n_merged"] == 7
+    assert asdict(rec)["n_merged"] == 7
 
 
 def test_verify_coalescence_rejects_disconnected():

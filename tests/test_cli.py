@@ -1,13 +1,17 @@
 """End-to-end CLI tests driving heigen.cli.main with real files."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
 from heigen import Hypergraph, cli, hypergraph as hg
+from heigen.analysis import CoalescenceRecord, IdentityRecord, RelocationRecord
 from heigen.canon import SearchBudgetExceeded
 from heigen.cli import main
 from heigen.hypergraph import is_hypertree
+from heigen.spectral import SolverConfig
 
 
 def run(*argv):
@@ -135,6 +139,124 @@ def test_search_budget_exceeded_is_inconclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "family_from_spec", give_up)
     assert run("verify", "minimizer", "--family", "hypertrees:m=2,k=4") == 2
     assert "error: canonical search exceeded" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_2(tmp_path, capsys):
+    """Exit code 1 means a violation; an error outside the expected ones is
+    reported as one line and exits 2, not as a traceback with status 1."""
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"edges": [[0, 1, 2, 3]], "format": "hypergraph/1", "k": 4, "n": 9223372036854775808}'
+    )
+    assert run("rho", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unexpected_exception_type_exits_2(monkeypatch, capsys):
+    def broken(spec):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "family_from_spec", broken)
+    assert run("verify", "minimizer", "--family", "hypertrees:m=2,k=4") == 2
+    assert "error: invariant broken" in capsys.readouterr().err
+
+
+def _stub_campaigns(monkeypatch) -> list:
+    """Replace both campaigns by stubs that record the trial count asked for."""
+    asked = []
+
+    def campaign(trials, seed, cfg, tol):
+        asked.append(trials)
+        return []
+
+    monkeypatch.setattr(cli, "relocation_campaign", campaign)
+    monkeypatch.setattr(cli, "coalescence_campaign", campaign)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("relocation", "--trials", "0"),
+        ("relocation", "--trials", "-1"),
+        ("coalescence", "--trials", "1", "--tolerance", "nan"),
+        ("coalescence", "--trials", "1", "--tolerance", "inf"),
+        ("coalescence", "--trials", "1", "--tolerance", "-0.5"),
+    ],
+)
+def test_bad_verify_flags_are_usage_errors(monkeypatch, argv):
+    asked = _stub_campaigns(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        run("verify", *argv)
+    assert info.value.code == 2
+    assert asked == []
+
+
+def test_trials_default_per_suite(monkeypatch):
+    asked = _stub_campaigns(monkeypatch)
+    assert run("verify", "relocation") == 0
+    assert run("verify", "coalescence") == 0
+    assert run("verify", "coalescence", "--trials", "1", "--tolerance", "0") == 0
+    assert asked == [30, 20, 1]
+
+
+# Per suite: extra flags, the CSV header, the first text line, the record type.
+VERIFY_SHAPES = {
+    "relocation": (
+        (),
+        "index,status,case,lambda_before,lambda_after,transported_value",
+        r"\[00\] pass: case=\S+ lambda_before=\S+ lambda_after=\S+ transported=\S+",
+        RelocationRecord,
+    ),
+    "coalescence": (
+        (),
+        "index,status,lambda_host,lambda_merged,root_value,branch_root_sum",
+        r"\[00\] pass: lambda_host=\S+ lambda_merged=\S+ root_value=\S+ branch_root_sum=\S+",
+        CoalescenceRecord,
+    ),
+    "minimizer": (
+        ("--family", "hypertrees:m=2,k=4"),
+        "index,n,m,lambda,residual,converged,minimizer",
+        r"\[00\] n=7 m=2 lambda=\S+ converged=yes <- minimizer",
+        None,
+    ),
+    "odd-bipartite-identity": (
+        ("--family", "hypertrees:m=2,k=4"),
+        "index,status,n,m,has_witness,lambda_min,rho,gap",
+        r"\[00\] pass: n=7 m=2 witness=yes lambda_min=\S+ rho=\S+",
+        IdentityRecord,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_SHAPES))
+def test_verify_output_shape(tmp_path, capsys, suite):
+    extra, header, first_line, record_type = VERIFY_SHAPES[suite]
+    argv = ["verify", suite, "--trials", "1", "--restarts", "8", *extra]
+    csv_path = tmp_path / "rows.csv"
+    assert run(*argv, "--csv", str(csv_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(first_line, lines[0])
+    assert lines[-1] == "summary: 1 pass, 0 violation, 0 inconclusive"
+    assert csv_path.read_text().splitlines()[:2] == ["# heigen-csv/1", header]
+
+    out = tmp_path / "report.json"
+    assert run(*argv, "--json", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    solver_fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(payload["manifest"]["solver"]) == solver_fields
+    if record_type is None:
+        assert set(payload) >= {"report", "status", "detail"} and "records" not in payload
+        assert set(payload["report"]["solver"]) == solver_fields
+        for entry in payload["report"]["entries"]:
+            assert set(entry) == {
+                "n", "k", "m", "edges", "lambda", "residual", "converged", "oracle_gap"
+            }
+    else:
+        fields = {f.name for f in dataclasses.fields(record_type)}
+        assert payload["records"]
+        for record in payload["records"]:
+            assert set(record) == fields
 
 
 def test_verify_identity_suite_json(tmp_path):

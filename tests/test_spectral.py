@@ -1,5 +1,7 @@
 """Eigensolver tests: hand-computed values, closed forms, dual-route checks."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,9 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
-    d = SolverConfig().to_json_dict()
+    d = asdict(SolverConfig())
     assert d["restarts"] == 32
+    assert set(d) == {"restarts", "max_iters", "seed"}
 
 
 def test_eigen_result_invariants():
