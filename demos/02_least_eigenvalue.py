@@ -3,9 +3,10 @@ Least H-eigenvalues of adjacency tensors
 ========================================
 
 The least H-eigenvalue of an even-uniformity hypergraph is the minimum of
-the degree-k form over the unit k-norm sphere.  The solver runs projected
-gradient descent from many starts; an independent sign-enumeration oracle
-confirms small cases.
+the degree-k form over the unit k-norm sphere.  For odd-bipartite graphs the
+solver signs the Perron vector; otherwise it runs projected gradient descent
+from many starts.  An independent sign-enumeration oracle confirms small
+cases.
 """
 
 import numpy as np
@@ -45,12 +46,16 @@ print("recomputed residual:", residual(g, r.eigenvalue, r.vector))
 b = brute_force_min(g)
 print(f"brute force: {b.eigenvalue:.9f}  (gap {abs(b.eigenvalue - r.eigenvalue):.1e})")
 
-# For hypertrees the least eigenvalue is minus the spectral radius; the two
-# sides come from different algorithms entirely.
+# For hypertrees, and every connected odd-bipartite graph, the least
+# eigenvalue is minus the spectral radius.  The default solver uses this:
+# it signs the Perron vector by the odd bipartition.  method="descent"
+# computes lambda_min by descent instead, so the two sides come from
+# different algorithms.
 t = hyperstar(3, 4).graph
-lo = least_h_eigenvalue(t).eigenvalue
+fast = least_h_eigenvalue(t)
+lo = least_h_eigenvalue(t, method="descent").eigenvalue
 hi = spectral_radius(t).eigenvalue
-print(f"\nhyperstar(3): lambda_min = {lo:.9f}, -rho = {-hi:.9f}")
+print(f"\nhyperstar(3): lambda_min = {lo:.9f} (descent), {fast.eigenvalue:.9f} ({fast.method}), -rho = {-hi:.9f}")
 
 # Seeds make runs reproducible: the same config always gives the same pair.
 cfg = SolverConfig(restarts=16, seed=7)

@@ -317,7 +317,8 @@ def verify_odd_bipartite_identity(
     spectral radius; without one, connectedness forces a strict gap."""
     cfg = cfg or SolverConfig()
     bip = find_odd_bipartition(g)
-    lo = least_h_eigenvalue(g, cfg)
+    # descent, not the fast path, which would return -rho by construction
+    lo = least_h_eigenvalue(g, cfg, method="descent")
     hi = spectral_radius(g, cfg)
     base = dict(n=g.n, m=g.m, has_witness=bip is not None)
     if not (lo.converged and hi.converged):

@@ -155,6 +155,7 @@ def _eigen_command(args, runner, label: str) -> int:
         print(f"residual = {result.residual:.3e}")
         print(f"converged = {'yes' if result.converged else 'no'}")
         print(f"iterations = {result.iterations}")
+        print(f"method = {result.method}")
     return 0 if result.converged else 2
 
 

@@ -170,35 +170,32 @@ def find_odd_bipartition(g: Hypergraph) -> Bipartition | None:
     """Search for a bipartition with every edge odd on one side, or None.
 
     One GF(2) equation per edge: the incidence row times the side vector
-    must equal 1.  Gaussian elimination decides solvability exactly.
+    must equal 1.  Rows are int bitmasks over the vertices, reduced edge by
+    edge against a basis keyed by each row's highest vertex; a row that
+    reduces to 0 with right-hand side 1 leaves no solution.  Free vertices
+    get side 0.
     """
-    if g.m == 0:
-        return Bipartition((0,) * g.n)
-    a = np.zeros((g.m, g.n + 1), dtype=np.uint8)
-    for j, e in enumerate(g.edges):
-        a[j, list(e)] = 1
-    a[:, g.n] = 1
-    row = 0
-    pivots: list[int] = []
-    for col in range(g.n):
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
-            continue
-        p = row + int(hits[0])
-        if p != row:
-            a[[row, p]] = a[[p, row]]
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != row]
-        a[others] ^= a[row]
-        pivots.append(col)
-        row += 1
-        if row == g.m:
-            break
-    if np.any((a[:, : g.n].sum(axis=1) == 0) & (a[:, g.n] == 1)):
-        return None
-    side = [0] * g.n
-    for i, col in enumerate(pivots):
-        side[col] = int(a[i, g.n])
+    basis: dict[int, tuple[int, int]] = {}  # highest vertex -> (row, rhs)
+    for e in g.edges:
+        row, rhs = sum(1 << v for v in e), 1
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = (row, rhs)
+                break
+            brow, brhs = basis[top]
+            row ^= brow
+            rhs ^= brhs
+        else:
+            if rhs:
+                return None
+    # a basis row's other vertices are lower, so solve from the lowest pivot up
+    solution = 0
+    for top in sorted(basis):
+        row, rhs = basis[top]
+        if (rhs + (row & solution).bit_count()) % 2:
+            solution |= 1 << top
+    side = [(solution >> v) & 1 for v in range(g.n)]
     bip = Bipartition(tuple(side))
     if not is_odd_bipartition(g, bip):
         raise RuntimeError("the GF(2) solution is not an odd bipartition")

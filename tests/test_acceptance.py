@@ -84,7 +84,7 @@ def test_criterion_3_odd_bipartite_identity_on_hypertrees():
     with _verdict(3, "hypertree identity lambda_min = -rho"):
         for m in range(1, 5):
             for g in enumerate_hypertrees(m, 4):
-                lam = least_h_eigenvalue(g).eigenvalue
+                lam = least_h_eigenvalue(g, method="descent").eigenvalue
                 rho = spectral_radius(g).eigenvalue
                 assert abs(lam + rho) <= 1e-6, f"m={m} n={g.n}: {lam} vs -{rho}"
 

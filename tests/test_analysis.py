@@ -21,7 +21,7 @@ from heigen import (
     verify_odd_bipartite_identity,
     verify_relocation,
 )
-from heigen import analysis
+from heigen import analysis, spectral
 from heigen.analysis import (
     RELOCATION_DRAWS,
     RelocationRecord,
@@ -220,6 +220,22 @@ def test_identity_record_both_directions():
     rec = verify_odd_bipartite_identity(complete_hypergraph(5, 4), FAST)
     assert rec.status == "pass" and not rec.has_witness
     assert rec.gap > 1e-6
+
+
+def test_identity_check_runs_descent(monkeypatch):
+    """The fast path returns -rho by construction, so the identity check
+    must compute lambda_min by descent."""
+    calls = []
+    descend = spectral._descend_batch
+
+    def counted(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(spectral, "_descend_batch", counted)
+    rec = verify_odd_bipartite_identity(kth_power_of_graph([(0, 1), (1, 2)], 4), FAST)
+    assert rec.status == "pass" and rec.has_witness
+    assert len(calls) == 1
 
 
 def test_identity_corpus_composition():

@@ -80,6 +80,18 @@ def test_lambda_min_json_payload(tmp_path):
     assert payload["manifest"]["version"]
 
 
+def test_eigen_output_names_the_method(tmp_path, capsys):
+    star, k54, out = (str(tmp_path / name) for name in ("star.json", "k54.json", "out.json"))
+    run("generate", "hyperstar", "2", "4", "--out", star)
+    run("generate", "complete", "5", "4", "--out", k54)
+    assert run("lambda-min", star) == 0
+    assert "method = power" in capsys.readouterr().out
+    assert run("lambda-min", k54) == 0
+    assert "method = descent" in capsys.readouterr().out
+    assert run("rho", k54, "--json", "--out", out) == 0
+    assert json.loads(open(out).read())["method"] == "power"
+
+
 def test_rho_command(tmp_path, capsys):
     path = str(tmp_path / "star.json")
     run("generate", "hyperstar", "4", "4", "--out", path)
@@ -129,6 +141,20 @@ def test_verify_minimizer_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minimizer" in out and "summary: 1 pass" in out
     assert run("verify", "minimizer") == 2
+
+
+def test_verify_minimizer_certifies_k2_trees(capsys):
+    # every tree is odd-bipartite, so each solve gets the signed Perron vector
+    assert run("verify", "minimizer", "--family", "hypertrees:m=4,k=2") == 0
+    assert "converged=no" not in capsys.readouterr().out
+
+
+def test_low_iteration_cap_is_no_violation(capsys):
+    """A capped solve must not pass a non-least eigenpair off as the least
+    one and report a counterexample to the relocation bound."""
+    code = run("verify", "relocation", "--trials", "2", "--max-iters", "2")
+    out = capsys.readouterr().out
+    assert code != 1 and "violation:" not in out
 
 
 def test_search_budget_exceeded_is_inconclusive(monkeypatch, capsys):

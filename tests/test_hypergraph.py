@@ -119,6 +119,13 @@ def test_parity_known_positives():
         assert len(ones) + len(zeros) == g.n
 
 
+def test_parity_large_cases():
+    for g in (cycle_blowup(100, 4), hyperstar(300, 4).graph):
+        bip = find_odd_bipartition(g)
+        assert bip is not None and is_odd_bipartition(g, bip)
+    assert find_odd_bipartition(cycle_blowup(101, 4)) is None
+
+
 def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition((0, 2))

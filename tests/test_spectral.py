@@ -10,6 +10,7 @@ from heigen import (
     Hypergraph,
     SolverConfig,
     UnsupportedUniformityError,
+    blowup_power,
     brute_force_min,
     branch_contribution,
     coalesce,
@@ -183,7 +184,7 @@ def test_hyperstar_closed_form():
 
 
 def test_descent_stops_once_certified():
-    res = least_h_eigenvalue(hyperstar(3, 4).graph, FAST)
+    res = least_h_eigenvalue(hyperstar(3, 4).graph, FAST, method="descent")
     assert res.iterations < FAST.max_iters
     assert res.residual <= spectral.CERTIFY_TOLERANCE
     assert abs(res.eigenvalue + 3**0.25) <= 1e-12
@@ -191,17 +192,66 @@ def test_descent_stops_once_certified():
 
 def test_uncertified_descent_runs_to_the_cap():
     # K_{1,4}: the polished residual stalls near 2.4e-8, above the certify level
-    res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST)
+    res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST, method="descent")
     assert res.residual > spectral.CERTIFY_TOLERANCE
     assert res.iterations == FAST.max_iters
 
 
+def test_method_names_the_solver():
+    res = least_h_eigenvalue(hyperstar(3, 4).graph, FAST)
+    assert res.method == "power" and res.to_json_dict()["method"] == "power"
+    assert least_h_eigenvalue(complete_hypergraph(5, 4), FAST).method == "descent"
+    assert least_h_eigenvalue(hyperstar(3, 4).graph, FAST, method="descent").method == "descent"
+    assert spectral_radius(hyperstar(3, 4).graph).method == "power"
+    with pytest.raises(ValueError):
+        least_h_eigenvalue(hyperstar(3, 4).graph, FAST, method="bogus")
+
+
+def test_odd_bipartite_star_certifies_for_k2():
+    # K_{1,4}: descent stalls near residual 2.4e-8; the signed Perron vector does not
+    res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST)
+    assert res.converged and res.method == "power"
+    assert abs(res.eigenvalue + 2.0) <= 1e-12
+    assert res.residual <= 1e-12
+
+
+def test_even_cycle_blowup_is_exact():
+    res = least_h_eigenvalue(cycle_blowup(100, 4))
+    assert res.converged and res.method == "power"
+    assert abs(res.eigenvalue + 2.0) <= 1e-12
+
+
+def test_tree_blowup_matches_eigvalsh():
+    # a recursive random tree: vertex i hangs from a uniform earlier vertex
+    rng = np.random.default_rng(0)
+    pairs = [(int(rng.integers(i)), i) for i in range(1, 60)]
+    a = np.zeros((60, 60))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1.0
+    res = least_h_eigenvalue(blowup_power(pairs, 4))
+    assert res.converged
+    assert abs(res.eigenvalue - np.linalg.eigvalsh(a)[0]) <= 1e-10
+
+
+def test_fast_path_agrees_with_descent():
+    graphs = [g for g in corpus_graphs() if g.m and g.k % 2 == 0]
+    graphs += [hyperstar(4, 2).graph, kth_power_of_graph([(0, 1), (1, 2), (1, 3)], 2)]
+    for g in graphs:
+        auto = least_h_eigenvalue(g)
+        descent = least_h_eigenvalue(g, method="descent")
+        assert auto.converged >= descent.converged
+        # the signed Perron vector is exact, so never above a descent minimum
+        assert auto.eigenvalue <= descent.eigenvalue + 1e-12, g
+        if descent.residual <= spectral.CERTIFY_TOLERANCE:
+            assert abs(auto.eigenvalue - descent.eigenvalue) <= 1e-12, g
+
+
 def test_certified_stop_keeps_the_eigenvalue(monkeypatch):
     graphs = [g for g in corpus_graphs() if g.m and g.k % 2 == 0]
-    stopped = [least_h_eigenvalue(g, FAST) for g in graphs]
+    stopped = [least_h_eigenvalue(g, FAST, method="descent") for g in graphs]
     monkeypatch.setattr(spectral, "FIRST_CHECK", FAST.max_iters + 1)
     for g, early in zip(graphs, stopped):
-        full = least_h_eigenvalue(g, FAST)
+        full = least_h_eigenvalue(g, FAST, method="descent")
         assert early.iterations <= full.iterations
         assert abs(early.eigenvalue - full.eigenvalue) <= 1e-12
         assert early.converged == full.converged
@@ -267,7 +317,7 @@ def test_cooccurring_twins_share_magnitude():
 
 def test_odd_bipartite_identity_spot_check():
     g = kth_power_of_graph([(0, 1), (1, 2), (2, 3)], 4)
-    lam = least_h_eigenvalue(g, FAST).eigenvalue
+    lam = least_h_eigenvalue(g, FAST, method="descent").eigenvalue
     rho = spectral_radius(g).eigenvalue
     assert abs(lam + rho) <= 1e-8
 
