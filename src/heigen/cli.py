@@ -54,8 +54,8 @@ def _manifest(args, inputs: dict[str, str]) -> dict:
             continue
         if word in ("--out", "--csv"):
             skip = True
-            continue
-        command.append(word)
+        elif not word.startswith(("--out=", "--csv=")):
+            command.append(word)
     return {
         "command": command,
         "seed": args.seed,
@@ -91,24 +91,6 @@ def _parse_graph_edges(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _is_tree(edges: list[tuple[int, int]]) -> bool:
-    verts = {v for e in edges for v in e}
-    if verts != set(range(len(verts))) or len(edges) != len(verts) - 1:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
-
-
 def cmd_generate(args) -> int:
     kind = args.kind
     params = args.params
@@ -127,9 +109,9 @@ def cmd_generate(args) -> int:
         if len(params) != 2:
             raise ValueError("generate power-tree needs: <tree-edges> k")
         edges = _parse_graph_edges(params[0])
-        if not _is_tree(edges):
-            raise ValueError(f"{params[0]!r} is not a tree on vertices 0..{len(edges)}")
         g = kth_power_of_graph(edges, int(params[1]))
+        if not hg.is_hypertree(g):
+            raise ValueError(f"{params[0]!r} is not a tree on vertices 0..{len(edges)}")
     elif kind == "blowup":
         if len(params) != 2:
             raise ValueError("generate blowup needs: <graph-edges> k")
@@ -311,28 +293,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heigen",
+        allow_abbrev=False,
         description="Least H-eigenvalues of even-uniform hypergraph adjacency tensors.",
     )
     parser.add_argument("--version", action="version", version=f"heigen {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("generate", help="write a hypergraph file for a named family")
+    p = sub.add_parser("generate", allow_abbrev=False, help="write a hypergraph file for a named family")
     p.add_argument("kind", choices=["hyperstar", "complete", "power-tree", "blowup"])
     p.add_argument("params", nargs="*", help="family parameters, e.g. 'hyperstar 3 4'")
-    _add_common(p)
+    p.add_argument("--out", help="write output to this path")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("lambda-min", help="least H-eigenvalue of a hypergraph file")
+    p = sub.add_parser("lambda-min", allow_abbrev=False, help="least H-eigenvalue of a hypergraph file")
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=cmd_lambda_min)
 
-    p = sub.add_parser("rho", help="spectral radius of a connected hypergraph file")
+    p = sub.add_parser("rho", allow_abbrev=False, help="spectral radius of a connected hypergraph file")
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=cmd_rho)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run a verification suite")
     p.add_argument(
         "suite", choices=["relocation", "coalescence", "minimizer", "odd-bipartite-identity"]
     )

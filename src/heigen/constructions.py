@@ -109,26 +109,16 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
 class Coalescence(RootedHypergraph):
     """Result of gluing two rooted hypergraphs at their shared root.
 
-    Host vertices keep their labels; branch vertices other than its root are
-    appended in ascending original order.  ``host_edges`` and ``branch_edges``
-    index into ``graph.edges``.
+    Host vertices and edges keep their labels and order; branch vertices
+    other than its root are appended in ascending original order, and the
+    branch edges follow the first ``host_m`` (host) edges of ``graph``.
     """
 
-    host_vertex_map: tuple[int, ...]
-    branch_vertex_map: tuple[int, ...]
-    host_edges: tuple[int, ...]
-    branch_edges: tuple[int, ...]
+    host_m: int
 
     def branch_root_edges(self) -> tuple[tuple[int, ...], ...]:
         """The branch's edges through the shared root, as vertex tuples."""
-        return tuple(
-            self.graph.edges[j] for j in self.branch_edges if self.root in self.graph.edges[j]
-        )
-
-    def host_root_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            self.graph.edges[j] for j in self.host_edges if self.root in self.graph.edges[j]
-        )
+        return tuple(e for e in self.graph.edges[self.host_m:] if self.root in e)
 
 
 def coalesce(host: RootedHypergraph, branch: RootedHypergraph) -> Coalescence:
@@ -138,74 +128,45 @@ def coalesce(host: RootedHypergraph, branch: RootedHypergraph) -> Coalescence:
         raise ValueError(f"uniformity mismatch: {g1.k} vs {g2.k}")
     if g1.n == 0 or g2.n == 0:
         raise ValueError("coalescence needs nonempty vertex sets")
-    host_map = tuple(range(g1.n))
-    branch_map = []
-    nxt = g1.n
-    for v in range(g2.n):
-        if v == branch.root:
-            branch_map.append(host.root)
-        else:
-            branch_map.append(nxt)
-            nxt += 1
-    edges = [e for e in g1.edges]
-    edges += [tuple(sorted(branch_map[v] for v in e)) for e in g2.edges]
-    merged = Hypergraph(nxt, g1.k, tuple(edges))
-    return Coalescence(
-        graph=merged,
-        root=host.root,
-        host_vertex_map=host_map,
-        branch_vertex_map=tuple(branch_map),
-        host_edges=tuple(range(g1.m)),
-        branch_edges=tuple(range(g1.m, g1.m + g2.m)),
-    )
+    fresh = (v for v in range(g2.n) if v != branch.root)
+    label = {v: g1.n + i for i, v in enumerate(fresh)}
+    label[branch.root] = host.root
+    edges = g1.edges + tuple(tuple(sorted(label[v] for v in e)) for e in g2.edges)
+    merged = Hypergraph(g1.n + g2.n - 1, g1.k, edges)
+    return Coalescence(graph=merged, root=host.root, host_m=g1.m)
 
 
 @dataclass(frozen=True)
 class Relocation:
     """A branch grafted at host vertex v2 (``before``) versus at v1 (``after``).
 
-    The two graphs share every vertex label: host vertices keep theirs and the
-    branch occupies the same appended labels in both, so a vector on one is
-    meaningful on the other.  Iterating yields (before, after).
+    Both graphs begin with the host's edges in order, and the branch occupies
+    the same appended labels ``branch_vertices`` in both, so a vector on one
+    is meaningful on the other.
     """
 
+    host: Hypergraph
     before: Hypergraph
     after: Hypergraph
     v1: int
     v2: int
-    branch_vertices: tuple[int, ...]
-    host_edges: tuple[int, ...]
-    branch_edges: tuple[int, ...]
 
-    def __iter__(self):
-        return iter((self.before, self.after))
-
-    def host_root_edges_before(self) -> tuple[tuple[int, ...], ...]:
-        """Host edges through v2 in ``before`` (branch edges excluded)."""
-        return tuple(
-            self.before.edges[j] for j in self.host_edges if self.v2 in self.before.edges[j]
-        )
+    @property
+    def branch_vertices(self) -> range:
+        """The branch's vertices other than its root, in both graphs."""
+        return range(self.host.n, self.before.n)
 
 
 def relocate(host: Hypergraph, v1: int, v2: int, branch: RootedHypergraph) -> Relocation:
     """Build the pair (host at v2 with branch, host at v1 with branch)."""
     if v1 == v2:
         raise ValueError("relocation endpoints must be distinct")
-    at_v2 = coalesce(RootedHypergraph(host, v2), branch)
-    at_v1 = coalesce(RootedHypergraph(host, v1), branch)
-    if at_v1.branch_edges != at_v2.branch_edges:
-        raise RuntimeError("the two coalescences index the branch edges differently")
-    branch_vertices = tuple(
-        w for v, w in enumerate(at_v2.branch_vertex_map) if v != branch.root
-    )
     return Relocation(
-        before=at_v2.graph,
-        after=at_v1.graph,
+        host=host,
+        before=coalesce(RootedHypergraph(host, v2), branch).graph,
+        after=coalesce(RootedHypergraph(host, v1), branch).graph,
         v1=v1,
         v2=v2,
-        branch_vertices=branch_vertices,
-        host_edges=at_v2.host_edges,
-        branch_edges=at_v2.branch_edges,
     )
 
 

@@ -459,7 +459,7 @@ class TransportResult:
     host_contribution: float
 
 
-def transport_vector(x, relo: Relocation, case: str | None = None) -> TransportResult:
+def transport_vector(x, relo: Relocation) -> TransportResult:
     """Carry a vector on the before-graph to the after-graph of a relocation.
 
     With s = |x_{v1}/x_{v2}| (requires |x_{v1}| >= |x_{v2}|), the branch part
@@ -479,13 +479,7 @@ def transport_vector(x, relo: Relocation, case: str | None = None) -> TransportR
     if xv1 < 0.0:
         x = -x
         xv1, xv2 = -xv1, -xv2
-    detected = "positive" if xv2 > 0.0 else ("negative" if xv2 < 0.0 else "zero")
-    if case is None:
-        case = detected
-    elif case not in ("positive", "zero", "negative"):
-        raise ValueError(f"unknown case {case!r}")
-    elif case != detected:
-        raise ValueError(f"requested case {case!r} but x[v2] makes it {detected!r}")
+    case = "positive" if xv2 > 0.0 else ("negative" if xv2 < 0.0 else "zero")
     out = x.copy()
     branch = list(relo.branch_vertices)
     if case == "positive":
@@ -497,6 +491,6 @@ def transport_vector(x, relo: Relocation, case: str | None = None) -> TransportR
     else:
         scale = 1.0
     host_sum = 0.0
-    for e in relo.host_root_edges_before():
+    for e in relo.host.edge_star(relo.v2):
         host_sum += float(np.prod(x[list(e)]))
     return TransportResult(vector=out, case=case, scale=scale, host_contribution=host_sum)

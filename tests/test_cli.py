@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,15 @@ def test_generate_rejects_bad_input(tmp_path, capsys):
     assert run("generate", "power-tree", "0-1,2-3", "4", "--out", path) == 2
     assert run("generate", "hyperstar", "3", "--out", path) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [("--seed", "1"), ("--restarts", "1"), ("--max-iters", "1"), ("--json",)]
+)
+def test_generate_takes_only_out(tmp_path, flag):
+    with pytest.raises(SystemExit) as info:
+        run("generate", "hyperstar", "2", "4", *flag, "--out", str(tmp_path / "g.json"))
+    assert info.value.code == 2
 
 
 def test_generate_round_trips_bytes(tmp_path):
@@ -307,6 +318,35 @@ def test_verify_json_bytes_identical_across_out_paths(tmp_path):
     assert run(*args, "--out", a) == 0
     assert run(*args, "--out", b) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_output_paths_stay_out_of_reports_however_spelled(tmp_path):
+    star = str(tmp_path / "star.json")
+    run("generate", "hyperstar", "2", "4", "--out", star)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("rho", star, "--json", f"--out={a}") == 0
+    assert run("rho", star, "--json", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    args = ["verify", "coalescence", "--trials", "1", "--restarts", "8", "--json"]
+    assert run(*args, "--out", str(a), f"--csv={tmp_path / 'a.csv'}") == 0
+    assert run(*args, "--out", str(b), "--csv", str(tmp_path / "b.csv")) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # an abbreviated flag would record the path it is given
+    with pytest.raises(SystemExit) as info:
+        run("rho", star, "--json", "--ou", str(a))
+    assert info.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("heigen ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.func is not None, line
 
 
 def test_verify_csv_output(tmp_path):

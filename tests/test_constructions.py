@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from heigen import (
@@ -14,6 +15,7 @@ from heigen import (
     kth_power_of_graph,
     relocate,
 )
+from heigen.analysis import random_connected_hypergraph, random_rooted_hypertree
 from heigen.canon import are_isomorphic
 from heigen.hypergraph import find_odd_bipartition, induced_subhypergraph
 
@@ -91,9 +93,8 @@ def test_coalesce_merges_roots():
     assert c.root == 0
     assert c.graph.degree(0) == 2
     assert are_isomorphic(c.graph, hyperstar(2, 4).graph)
-    assert c.host_edges == (0,) and c.branch_edges == (1,)
-    assert len(c.branch_root_edges()) == 1
-    assert c.branch_vertex_map[2] == 0
+    assert c.host_m == 1
+    assert c.branch_root_edges() == ((0, 4, 5, 6),)
 
 
 def test_coalesce_stars_add():
@@ -114,18 +115,49 @@ def test_relocate_alignment():
     g0 = kth_power_of_graph([(0, 1), (1, 2), (2, 3)], 4)
     h = hyperstar(2, 4)
     relo = relocate(g0, 0, 3, h)
-    before, after = relo
+    before, after = relo.before, relo.after
     assert before.n == after.n and before.m == after.m
     assert set(relo.branch_vertices) == set(range(g0.n, before.n))
     sub_b, _ = induced_subhypergraph(before, range(g0.n))
     sub_a, _ = induced_subhypergraph(after, range(g0.n))
     assert sub_b == g0 == sub_a
     # graphs differ exactly in the branch edges
-    assert [before.edges[j] for j in relo.host_edges] == [after.edges[j] for j in relo.host_edges]
-    changed = [j for j in range(before.m) if before.edges[j] != after.edges[j]]
-    assert set(changed) <= set(relo.branch_edges)
+    assert before.edges[:g0.m] == after.edges[:g0.m] == g0.edges
     with pytest.raises(ValueError):
         relocate(g0, 1, 1, h)
+
+
+def _campaign_instances(count=10, k=4, n_max=12):
+    """Relocation instances drawn as relocation_campaign draws them."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        branch_m = int(rng.integers(1, 3))
+        n0 = int(rng.integers(k, n_max - branch_m * (k - 1) + 1))
+        g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), k)
+        h = random_rooted_hypertree(rng, branch_m, k)
+        v1, v2 = (int(v) for v in rng.choice(n0, size=2, replace=False))
+        yield g0, v1, v2, h
+
+
+def _relabel(edges, old, new):
+    return [tuple(sorted(new if v == old else v for v in e)) for e in edges]
+
+
+def test_relocation_invariants_on_campaign_instances():
+    for g0, v1, v2, h in _campaign_instances():
+        relo = relocate(g0, v1, v2, h)
+        before, after = relo.before, relo.after
+        assert before.edges[:g0.m] == g0.edges == after.edges[:g0.m]
+        assert relo.branch_vertices == range(g0.n, before.n)
+        assert after.n == before.n == g0.n + h.graph.n - 1
+        assert list(after.edges[g0.m:]) == _relabel(before.edges[g0.m:], v2, v1)
+        coal = coalesce(RootedHypergraph(g0, v2), h)
+        assert coal.graph == before and coal.host_m == g0.m
+        # branch vertices other than the root take fresh labels in ascending order
+        fresh = [w for w in range(h.graph.n) if w != h.root]
+        label = {**dict(zip(fresh, range(g0.n, before.n))), h.root: v2}
+        root_edges = [tuple(sorted(label[w] for w in e)) for e in h.graph.edge_star(h.root)]
+        assert list(coal.branch_root_edges()) == root_edges
 
 
 def test_relocate_single_edge_host():
