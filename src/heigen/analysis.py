@@ -314,7 +314,11 @@ def verify_odd_bipartite_identity(
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> IdentityRecord:
     """With an odd bipartition the least eigenvalue must equal minus the
-    spectral radius; without one, connectedness forces a strict gap."""
+    spectral radius; without one, connectedness forces a strict gap.
+
+    lambda_min >= -rho always holds, and descent only gives an upper bound
+    on lambda_min.  So with a witness, a gap above tolerance means descent
+    missed the minimum: inconclusive, not a violation."""
     cfg = cfg or SolverConfig()
     bip = find_odd_bipartition(g)
     # descent, not the fast path, which would return -rho by construction
@@ -324,17 +328,14 @@ def verify_odd_bipartite_identity(
     if not (lo.converged and hi.converged):
         return IdentityRecord(status="inconclusive", detail="a solve did not converge", **base)
     gap = lo.eigenvalue + hi.eigenvalue
-    if bip is not None:
-        ok = abs(gap) <= tolerance
-    else:
-        ok = gap > tolerance
-    return IdentityRecord(
-        status="pass" if ok else "violation",
-        lambda_min=lo.eigenvalue,
-        rho=hi.eigenvalue,
-        gap=gap,
-        **base,
-    )
+    values = dict(lambda_min=lo.eigenvalue, rho=hi.eigenvalue, gap=gap, **base)
+    if bip is None:
+        return IdentityRecord(status="pass" if gap > tolerance else "violation", **values)
+    if gap > tolerance:
+        return IdentityRecord(
+            status="inconclusive", detail="descent stopped above -rho, short of the minimum", **values
+        )
+    return IdentityRecord(status="pass" if gap >= -tolerance else "violation", **values)
 
 
 def identity_corpus() -> list[Hypergraph]:

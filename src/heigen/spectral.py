@@ -25,11 +25,22 @@ equals the previous check's certified eigenvalue to that relative
 tolerance.  Otherwise it runs until every row has frozen or the iteration
 cap is reached, and the final incumbent is polished.
 
+The fixed-point map can stall just above ``CERTIFY_TOLERANCE``.  So a
+polish candidate whose residual lies strictly between ``CERTIFY_TOLERANCE``
+and ``RESIDUAL_TOLERANCE`` (a pair already counted as converged) is
+finished by up to ``NEWTON_STEPS`` Newton steps on the bordered system
+[A x^{k-1} - lam x^{[k-1]} = 0, (sum x^k - 1)/k = 0] (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), each kept
+only while the residual falls.  Each step is solved by MINRES on
+Hessian-vector products from the kernel's gathers, O(m*k^2) per product,
+so no n-by-n array is built.
+
 One batched O(m*k) kernel serves every contraction: edge products by
 column multiplies, and the scatter onto vertices by one bincount.  Integer
-powers are repeated multiplications.  Contraction, descent, polish and
-power iteration make no BLAS call, so their results do not depend on the
-BLAS build or its thread count.
+powers are repeated multiplications, and inner products are elementwise
+sums.  Contraction, descent, polish, the Newton finish and power iteration
+make no BLAS call, so their results do not depend on the BLAS build or its
+thread count.
 """
 
 from __future__ import annotations
@@ -52,6 +63,10 @@ CERTIFY_TOLERANCE = 1e-12
 GRADIENT_TOLERANCE = 1e-10
 # Fixed-point rounds per polish candidate.
 POLISH_ROUNDS = 40
+# Newton steps that finish a polish candidate, and the relative residual
+# at which MINRES stops solving for one step.
+NEWTON_STEPS = 3
+MINRES_TOLERANCE = 1e-10
 
 
 class UnsupportedUniformityError(ValueError):
@@ -168,6 +183,23 @@ class _Kernel:
         contrib[:, 0] = suffix
         out = np.bincount(self.index[: contrib.size], weights=contrib.ravel(), minlength=rows * self.n)
         return out.reshape(rows, self.n)
+
+    def pair_products(self, x: np.ndarray) -> np.ndarray:
+        """Per edge and ordered pair of positions i != j, the product of the
+        other k-2 entries of one vector x; zero for i == j.  Shape (k, k, m)."""
+        ex = x[self.cols]
+        pairs = np.zeros((self.k, self.k, ex.shape[1]))
+        for i in range(self.k):
+            for j in range(i + 1, self.k):
+                others = [r for r in range(self.k) if r not in (i, j)]
+                pairs[i, j] = pairs[j, i] = np.prod(ex[others], axis=0)
+        return pairs
+
+    def hessian_apply(self, pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """M v, where M_uv = sum over edges at u and v of the product of the
+        other k-2 entries: the Jacobian of A x^{k-1} at the x of ``pairs``."""
+        contrib = (pairs * v[self.cols][None, :, :]).sum(axis=1)
+        return np.bincount(self.index[: contrib.size], weights=contrib.ravel(), minlength=self.n)
 
 
 def tensor_apply(g: Hypergraph, x) -> np.ndarray:
@@ -290,6 +322,80 @@ def _polish_once(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, flo
     return best
 
 
+def _minres(op, b: np.ndarray, iters: int) -> np.ndarray:
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for op(z) = b
+    with op symmetric, possibly indefinite, from z = 0.  Inner products are
+    elementwise sums, so no BLAS call is made."""
+    beta1 = float(np.sqrt(np.sum(b * b)))
+    z = np.zeros_like(b)
+    if beta1 == 0.0:
+        return z
+    r1 = r2 = y = b
+    w = w2 = z
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    for it in range(iters):
+        v = y / beta
+        y = op(v)
+        if it:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.sum(v * y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, float(np.sqrt(np.sum(y * y)))
+        # rotate the new tridiagonal column by the previous rotation, then
+        # make the next one
+        oldeps = epsln
+        delta, gbar = cs * dbar + sn * alfa, sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = float(np.hypot(gbar, beta))
+        if gamma == 0.0:
+            break  # singular and the Krylov space exhausted
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        z = z + phi * w
+        if phibar <= MINRES_TOLERANCE * beta1 or beta == 0.0:
+            break
+    return z
+
+
+def _newton_finish(kernel: _Kernel, lam: float, x: np.ndarray, res: float) -> tuple[float, np.ndarray, float]:
+    """Newton steps on the bordered eigen-equation
+    [A x^{k-1} - lam x^{[k-1]} = 0, (sum x^k - 1)/k = 0], kept only while
+    the residual falls.  Each step solves the symmetric system
+
+        [M - (k-1) lam diag(x^{k-2})   -x^{[k-1]}] [dx  ]   [lam x^{[k-1]} - A x^{k-1}]
+        [-x^{[k-1]}^T                   0        ] [dlam] = [(sum x^k - 1)/k          ]
+
+    by MINRES on the kernel's Hessian products, so no n-by-n array is
+    built.  The step's x is renormalized and lam recomputed from the form.
+    """
+    k, n = kernel.k, kernel.n
+    ax = kernel.apply(x[None, :])[0]
+    for _ in range(NEWTON_STEPS):
+        normal = _ipow(x, k - 1)
+        diag = (k - 1) * lam * (_ipow(x, k - 2) if k > 2 else 1.0)
+        pairs = kernel.pair_products(x)
+
+        def bordered(z: np.ndarray) -> np.ndarray:
+            dx = z[:n]
+            out = np.empty(n + 1)
+            out[:n] = kernel.hessian_apply(pairs, dx) - diag * dx - z[n] * normal
+            out[n] = -np.sum(normal * dx)
+            return out
+
+        rhs = np.append(lam * normal - ax, (np.sum(normal * x) - 1.0) / k)
+        # floating-point Lanczos can need more than the n + 1 steps of
+        # exact arithmetic
+        cur = _normalized(x + _minres(bordered, rhs, 2 * (n + 1))[:n], k)
+        cur_lam, cur_ax, cur_res = _eigen_terms(kernel, cur)
+        if not cur_res < res:  # also rejects a NaN residual
+            break
+        lam, x, res, ax = cur_lam, cur, cur_res, cur_ax
+    return lam, x, res
+
+
 def _polish(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Best eigenpair certificate near x: refine x itself, and also variants
     with near-zero entries snapped to exact zero.
@@ -297,10 +403,15 @@ def _polish(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     A minimizer supported on a sub-hypergraph leaves the off-support
     coordinates coupled only at higher order, where gradient steps and the
     fixed-point map both stall at small nonzero values; snapping reaches the
-    exact zero-extended eigenpair.  Candidates compete on residual only.
+    exact zero-extended eigenpair.
+
+    The plain candidate is Newton-finished when its residual lies in the
+    finish band, and so is the winning snapped candidate.  The finish
+    changes a candidate's residual, not the rule: candidates still compete
+    on residual only.
     """
     kernel = _Kernel(g)
-    best = _polish_once(kernel, x)
+    plain = best = _finished(kernel, _polish_once(kernel, x))
     if best[2] <= CERTIFY_TOLERANCE:
         return best
     scale = float(np.max(np.abs(x)))
@@ -315,7 +426,15 @@ def _polish(g: Hypergraph, x: np.ndarray) -> tuple[float, np.ndarray, float]:
         cand = _polish_once(kernel, _normalized(snapped, g.k))
         if cand[2] < best[2]:
             best = cand
-    return best
+    return best if best is plain else _finished(kernel, best)
+
+
+def _finished(kernel: _Kernel, cand: tuple[float, np.ndarray, float]) -> tuple[float, np.ndarray, float]:
+    """cand, Newton-finished when its residual lies strictly between
+    CERTIFY_TOLERANCE and RESIDUAL_TOLERANCE."""
+    if CERTIFY_TOLERANCE < cand[2] < RESIDUAL_TOLERANCE:
+        return _newton_finish(kernel, *cand)
+    return cand
 
 
 def _result(lam: float, x: np.ndarray, res: float, iterations: int, method: str) -> EigenResult:

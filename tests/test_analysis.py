@@ -238,6 +238,34 @@ def test_identity_check_runs_descent(monkeypatch):
     assert len(calls) == 1
 
 
+def test_identity_descent_above_minus_rho_is_no_violation():
+    """With restarts=8, descent certifies lambda = -2.115023 on this
+    odd-bipartite graph, whose least eigenvalue is -rho = -3.088073."""
+    g = Hypergraph(7, 4, ((0, 1, 3, 5), (0, 2, 3, 6), (0, 4, 5, 6), (1, 3, 4, 5), (3, 4, 5, 6)))
+    rec = verify_odd_bipartite_identity(g, SolverConfig(restarts=8))
+    assert rec.has_witness
+    assert rec.status != "violation"
+
+
+@pytest.mark.parametrize("shift, status", [(0.5, "inconclusive"), (-0.5, "violation"), (0.0, "pass")])
+def test_identity_gap_sign_decides_the_status(monkeypatch, shift, status):
+    """lambda_min >= -rho always holds: a descent value above -rho is a
+    missed minimum, one below it a real violation."""
+    g = kth_power_of_graph([(0, 1), (1, 2)], 4)
+    rho = spectral.spectral_radius(g).eigenvalue
+
+    def solve(graph, cfg=None, method="auto"):
+        x = np.ones(graph.n)
+        return spectral.EigenResult(-rho + shift, x, 0.0, 1, True, "descent")
+
+    monkeypatch.setattr(analysis, "least_h_eigenvalue", solve)
+    rec = verify_odd_bipartite_identity(g, FAST)
+    assert rec.has_witness and rec.status == status
+    assert rec.gap == pytest.approx(shift, abs=1e-12)
+    if status == "inconclusive":
+        assert "short of the minimum" in rec.detail
+
+
 def test_identity_corpus_composition():
     corpus = identity_corpus()
     assert len(corpus) == 1 + 1 + 2 + 4 + 3

@@ -16,3 +16,55 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Calls that reach BLAS: matrix products and the numpy.linalg routines.
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+
+
+def _blas_uses(tree):
+    """(enclosing function, source) of each matrix product, BLAS-named
+    call or numpy.linalg call in a module, except ``np.linalg.norm`` with an
+    ``axis=`` keyword (without one, ``norm`` calls BLAS ``dot``)."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append((fn.name, ast.unparse(node)))
+            elif isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.rpartition(".")[2] in BLAS_NAMES:
+                    found.append((fn.name, ast.unparse(node)))
+                elif "linalg." in name and not (
+                    name.endswith("linalg.norm") and any(kw.arg == "axis" for kw in node.keywords)
+                ):
+                    found.append((fn.name, ast.unparse(node)))
+    return found
+
+
+def test_spectral_makes_no_blas_call():
+    """The contraction, descent, polish, Newton finish and power iteration
+    stay BLAS-free, so their results do not depend on the BLAS build or its
+    thread count.  The one matrix product is the oracle's sign scoring."""
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    found = set(_blas_uses(tree)) - {("brute_force_min", "w @ edge_signs")}
+    assert found == set()
+
+
+def test_blas_guard_catches_each_form():
+    source = """
+def f(a, b):
+    a @ b
+    np.dot(a, b)
+    a.dot(b)
+    np.einsum("i,i", a, b)
+    np.linalg.solve(a, b)
+    np.linalg.norm(a)
+    np.linalg.norm(a, axis=1)
+"""
+    assert [s for _, s in _blas_uses(ast.parse(source))] == [
+        "a @ b", "np.dot(a, b)", "a.dot(b)", "np.einsum('i,i', a, b)",
+        "np.linalg.solve(a, b)", "np.linalg.norm(a)",
+    ]

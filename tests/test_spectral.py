@@ -16,6 +16,7 @@ from heigen import (
     coalesce,
     complete_hypergraph,
     cycle_blowup,
+    enumerate_family,
     hyperstar,
     kth_power_of_graph,
     knorm,
@@ -195,6 +196,61 @@ def test_uncertified_descent_runs_to_the_cap():
     res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST, method="descent")
     assert res.residual > spectral.CERTIFY_TOLERANCE
     assert res.iterations == FAST.max_iters
+
+
+def test_hessian_apply_matches_finite_differences():
+    """M v is the derivative of A x^{k-1} along v, by central differences."""
+    rng = np.random.default_rng(3)
+    for g in (kth_power_of_graph([(0, 1), (1, 2), (1, 3)], 4), complete_hypergraph(7, 6),
+              hyperstar(3, 2).graph):
+        kernel = _Kernel(g)
+        x = rng.uniform(0.2, 1.0, g.n) * rng.choice([-1.0, 1.0], g.n)
+        v = rng.normal(size=g.n)
+        h = 1e-5
+        fd = (tensor_apply(g, x + h * v) - tensor_apply(g, x - h * v)) / (2 * h)
+        mv = kernel.hessian_apply(kernel.pair_products(x), v)
+        assert np.max(np.abs(fd - mv)) <= 1e-6 * max(1.0, np.max(np.abs(mv)))
+
+
+def test_minres_solves_symmetric_indefinite_systems():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(12, 12))
+    a = a + a.T
+    assert np.linalg.eigvalsh(a)[0] < 0 < np.linalg.eigvalsh(a)[-1]
+    b = rng.normal(size=12)
+    z = spectral._minres(lambda v: a @ v, b, 2 * len(b))
+    assert np.max(np.abs(a @ z - b)) <= 1e-8 * np.max(np.abs(b))
+
+
+def test_newton_finish_certifies_stalled_residuals():
+    # the T1(C3^4) member: the fixed-point polish alone stalls at 1.4e-12
+    # and the descent ran all 2000 iterations
+    res = least_h_eigenvalue(enumerate_family(cycle_blowup(3, 4), 1)[0])
+    assert res.method == "descent"
+    assert res.iterations < SolverConfig().max_iters
+    assert res.residual <= spectral.CERTIFY_TOLERANCE
+    assert abs(res.eigenvalue + 1.218849872797116) <= 1e-12
+    # odd cycle blowups: the polish alone stalls near 4.7e-12
+    for length in (10, 12):
+        res = least_h_eigenvalue(cycle_blowup(length, 4), method="descent")
+        assert res.iterations < SolverConfig().max_iters
+        assert res.residual <= spectral.CERTIFY_TOLERANCE
+        assert abs(res.eigenvalue + 2.0) <= 1e-12
+
+
+def test_newton_finish_skips_unconverged_candidates(monkeypatch):
+    """The finish only tightens pairs already below RESIDUAL_TOLERANCE."""
+    calls = []
+    finish = spectral._newton_finish
+
+    def counted(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(spectral, "_newton_finish", counted)
+    res = least_h_eigenvalue(cycle_blowup(101, 4), SolverConfig(max_iters=100))
+    assert not res.converged
+    assert calls == []
 
 
 def test_method_names_the_solver():
