@@ -5,7 +5,8 @@ so they fall into twin classes, and every edge is a disjoint union of whole
 classes.  Relabelings that keep each class contiguous reach every edge list
 the quotient structure can produce, so the lexicographic minimum over class
 orderings is a true canonical form.  A branch-and-bound over class orderings
-keeps the search far below factorial cost at the sizes used here.
+finds it, pruning a node when its edges, padded with the next free labels,
+sort no lower than the incumbent: no completion sorts below that padding.
 """
 
 from __future__ import annotations
@@ -64,21 +65,19 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
     nodes = 0
 
     def viable(next_label: int) -> bool:
-        """Sound prune test against the incumbent; True means keep searching."""
+        """Completion bound against the incumbent; True means keep searching.
+
+        An edge's labels still to come are distinct and at least
+        ``next_label``, so its final tuple is elementwise at least its known
+        labels padded with ``next_label, next_label + 1, ...``.  Sorting is
+        monotone, so no completion sorts below the padded edges, and pruning
+        when they are no smaller than the incumbent keeps every strictly
+        smaller leaf.
+        """
         if best is None:
             return True
-        touched = sorted(tuple(p) for p in known if p)
-        for i, p in enumerate(touched):
-            b = best[i]
-            for j, pj in enumerate(p):
-                if pj != b[j]:
-                    return pj < b[j]
-            if len(p) < k:
-                return True  # ties the incumbent on known labels only
-        if len(touched) == m:
-            return False  # completes to exactly the incumbent
-        # Remaining edges are untouched; their labels are all >= next_label.
-        return best[len(touched)][0] >= next_label
+        bound = sorted(tuple(p) + tuple(range(next_label, next_label + k - len(p))) for p in known)
+        return bound < best
 
     def descend(next_label: int) -> None:
         nonlocal best, nodes
@@ -86,9 +85,7 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"canonical search exceeded {node_budget} nodes")
         if next_label == g.n:
-            value = sorted(tuple(p) for p in known)
-            if best is None or value < best:
-                best = value
+            best = sorted(tuple(p) for p in known)  # viable() passes only smaller leaves
             return
         ranked = []
         for c in range(r):

@@ -67,6 +67,8 @@ POLISH_ROUNDS = 40
 # at which MINRES stops solving for one step.
 NEWTON_STEPS = 3
 MINRES_TOLERANCE = 1e-10
+# Best sampled starts brute_force_min descends from; 8 missed the minimum.
+ORACLE_STARTS = 16
 
 
 class UnsupportedUniformityError(ValueError):
@@ -543,7 +545,7 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
     # descend from the several best starts; a single start can stall in a
     # local minimum even when the sampled value itself is the lowest
     candidates.sort(key=lambda pair: pair[0])
-    starts = np.stack([x for _, x in candidates[:8]])
+    starts = np.stack([x for _, x in candidates[:ORACLE_STARTS]])
     lam, x, res, iterations = _descend_batch(g, starts, refine_iters)
     return _result(lam, x, res, iterations, "descent")
 

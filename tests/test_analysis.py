@@ -127,6 +127,30 @@ def test_family_count_matches_vf2_oracle():
     assert len(enumerate_family(t, 3)) == len(nx_family_oracle(t, 3))
 
 
+# Canonical forms of the members, in report order, as first computed.
+MEMBER_FORMS = {
+    "Tm:edge:4,m=3": [
+        (13, 4, ((0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9), (0, 10, 11, 12))),
+        (13, 4, ((0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9), (1, 10, 11, 12))),
+        (13, 4, ((0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12))),
+        (13, 4, ((0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (4, 10, 11, 12))),
+    ],
+    "Tm:complete:5:4,m=2": [
+        (11, 4, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (0, 5, 6, 7), (0, 8, 9, 10), (1, 2, 3, 4))),
+        (11, 4, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (0, 5, 6, 7), (1, 2, 3, 4), (1, 8, 9, 10))),
+        (11, 4, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (0, 5, 6, 7), (1, 2, 3, 4), (5, 8, 9, 10))),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MEMBER_FORMS))
+def test_members_come_in_canonical_form_order(spec):
+    """Reports list members in this order, so their bytes depend on it."""
+    _, fam, _ = family_from_spec(spec)
+    forms = [canonical_form(g) for g in fam]
+    assert forms == sorted(forms) == MEMBER_FORMS[spec]
+
+
 def test_find_minimizer_prefers_hyperstar():
     for m in (2, 3):
         fam = enumerate_hypertrees(m, 4)

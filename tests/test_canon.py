@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heigen import Hypergraph, are_isomorphic, canonical_form, hyperstar
+from heigen.analysis import enumerate_family, enumerate_hypertrees, random_rooted_hypertree
 from heigen.canon import SearchBudgetExceeded, canonical_graph, twin_classes
 from heigen.constructions import (
     complete_hypergraph,
@@ -45,8 +46,30 @@ def small_graphs():
 
 
 def test_matches_brute_force_on_small_graphs():
-    for g in small_graphs():
-        assert canonical_form(g) == brute_canonical(g)
+    """Relabelled inputs reach the all-permutations minimum too, so the
+    completion bound never prunes the subtree holding it."""
+    single_edge = Hypergraph(4, 4, ((0, 1, 2, 3),))
+    rng = np.random.default_rng(3)
+    graphs = small_graphs() + [g for g in corpus_graphs() if g.n <= 8]
+    graphs += [g for m in range(1, 6) for g in enumerate_hypertrees(m, 2)]
+    graphs += [random_rooted_hypertree(rng, 7, 2).graph for _ in range(2)]
+    graphs += enumerate_family(single_edge, 1)
+    for g in graphs:
+        want = brute_canonical(g)
+        assert canonical_form(g) == want
+        for _ in range(5):
+            assert canonical_form(relabel(g, rng.permutation(g.n))) == want
+
+
+def test_family_members_stay_within_a_small_node_budget():
+    for g in enumerate_family(complete_hypergraph(5, 4), 2):
+        canonical_form(g, node_budget=1000)
+
+
+def test_relabelled_k2_tree_stays_within_node_budget():
+    rng = np.random.default_rng(10)
+    tree = random_rooted_hypertree(rng, 10, 2).graph
+    canonical_form(relabel(tree, rng.permutation(tree.n)), node_budget=200_000)
 
 
 def test_invariant_under_relabeling():

@@ -154,6 +154,13 @@ def test_verify_minimizer_exit_codes(tmp_path, capsys):
     assert run("verify", "minimizer") == 2
 
 
+def test_oracle_finds_the_minimum_on_a_hard_seed(capsys):
+    """From 8 starts the oracle settled at -2.516832 on this seed, above the
+    solver's -2.525900, and the suite called the family inconclusive."""
+    assert run("verify", "minimizer", "--family", "Tm:complete:5:4,m=1", "--seed", "596836679") == 0
+    assert "lambda=-2.525900" in capsys.readouterr().out
+
+
 def test_verify_minimizer_certifies_k2_trees(capsys):
     # every tree is odd-bipartite, so each solve gets the signed Perron vector
     assert run("verify", "minimizer", "--family", "hypertrees:m=4,k=2") == 0
