@@ -5,9 +5,14 @@ through its edges only, so no order-k array is ever materialized.  For even
 k the least H-eigenvalue is the minimum of the degree-k form over the unit
 k-norm sphere; unless the fast path below applies, it is found by
 multi-restart projected gradient descent and cross-checked elsewhere by
-brute-force sampling.  The spectral radius of a
-connected graph comes from a power iteration on A(G) x^{k-1} + x^{k-1}
-(shift 1).
+brute-force sampling.  Each descent row tries its Barzilai-Borwein step
+(BB1 and BB2 in turn, clipped to ``BB_CLIP``) and halves it until an Armijo
+test passes against the largest of its last ``NONMONOTONE_MEMORY`` accepted
+form values, the nonmonotone search of Grippo, Lampariello & Lucidi, which
+Raydan (SIAM J. Optim. 7, 1997) pairs with BB steps and Chang, Chen & Qi
+(SIAM J. Sci. Comput. 38, 2016) use on hypergraph tensors.  The spectral
+radius of a connected graph comes from a power iteration on
+A(G) x^{k-1} + x^{k-1} (shift 1).
 
 A connected graph with even k has lambda_min = -rho exactly when it is
 odd-bipartite (Shao, Shan & Wu, Linear Multilinear Algebra 63, 2015), and
@@ -31,9 +36,9 @@ and ``RESIDUAL_TOLERANCE`` (a pair already counted as converged) is
 finished by up to ``NEWTON_STEPS`` Newton steps on the bordered system
 [A x^{k-1} - lam x^{[k-1]} = 0, (sum x^k - 1)/k = 0] (Absil, Mahony &
 Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), each kept
-only while the residual falls.  Each step is solved by MINRES on
-Hessian-vector products from the kernel's gathers, O(m*k^2) per product,
-so no n-by-n array is built.
+only while the residual falls and none taken once it is at rounding level.
+Each step is solved by MINRES on Hessian-vector products from the kernel's
+gathers, O(m*k^2) per product, so no n-by-n array is built.
 
 One batched O(m*k) kernel serves every contraction: edge products by
 column multiplies, and the scatter onto vertices by one bincount.  Integer
@@ -61,12 +66,18 @@ FIRST_CHECK = 25
 CERTIFY_TOLERANCE = 1e-12
 # Max-norm of the projected gradient below which a descent row freezes.
 GRADIENT_TOLERANCE = 1e-10
+# Range a descent row's Barzilai-Borwein trial step is clipped to, and how
+# many of its accepted form values the nonmonotone Armijo test looks back on.
+BB_CLIP = (1e-12, 10.0)
+NONMONOTONE_MEMORY = 8
 # Fixed-point rounds per polish candidate.
 POLISH_ROUNDS = 40
-# Newton steps that finish a polish candidate, and the relative residual
-# at which MINRES stops solving for one step.
+# Newton steps that finish a polish candidate, the relative residual at
+# which MINRES stops solving for one step, and the rounding-level residual,
+# per unit of max|A x^{k-1}|, at which the steps stop.
 NEWTON_STEPS = 3
 MINRES_TOLERANCE = 1e-10
+NEWTON_FLOOR = 64 * np.finfo(np.float64).eps
 # Best sampled starts brute_force_min descends from; 8 missed the minimum.
 ORACLE_STARTS = 16
 
@@ -232,8 +243,14 @@ def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
 def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float, np.ndarray, float, int]:
     """Projected normalized-gradient descent on the unit k-norm sphere,
     run on a batch of starts at once.  Every row follows exactly its own
-    backtracking trajectory; rows freeze once their projected gradient
-    drops below tolerance or their line search stops making progress.
+    trajectory; rows freeze once their projected gradient drops below
+    tolerance or their line search stops making progress.
+
+    A row's first trial step is its Barzilai-Borwein step, BB1 and BB2 in
+    turn, clipped to ``BB_CLIP``, or its last accepted step where no finite
+    positive BB value exists.  Trials halve, at most 60 times, until one
+    passes Armijo against the largest of the row's last
+    ``NONMONOTONE_MEMORY`` accepted form values.
 
     Returns the polished eigenpair of the best row, as (lambda, vector,
     residual), and the number of iterations run: fewer than ``max_iters``
@@ -242,7 +259,9 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
     xs = _normalized_rows(np.atleast_2d(np.asarray(x0, dtype=np.float64)), k)
     kernel = _Kernel(g, len(xs))
     fs = kernel.form(xs)
+    recent = np.repeat(fs[:, None], NONMONOTONE_MEMORY, axis=1)
     steps = np.ones(len(xs))
+    prev_x, prev_g = np.empty_like(xs), np.empty_like(xs)
     active = np.ones(len(xs), dtype=bool)
     check, certified = FIRST_CHECK, None
     iterations = 0
@@ -259,11 +278,19 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
         live = ~converged
         if not live.any():
             continue  # every active row froze, so the loop ends
-        rows = rows[live]
-        x = x[live]
-        gnorm = np.linalg.norm(gproj[live], axis=1)
-        d = -gproj[live] / gnorm[:, None]
+        rows, x, gproj = rows[live], x[live], gproj[live]
+        gnorm = np.sqrt(np.sum(gproj * gproj, axis=1))
+        d = -gproj / gnorm[:, None]
         t = steps[rows].copy()
+        if iterations > 1:
+            dx, dg = x - prev_x[rows], gproj - prev_g[rows]
+            dxg = np.abs(np.sum(dx * dg, axis=1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bb = gnorm * (np.sum(dx * dx, axis=1) / dxg if iterations % 2 == 0 else dxg / np.sum(dg * dg, axis=1))
+            ok = np.isfinite(bb) & (bb > 0.0)
+            t[ok] = np.clip(bb[ok], *BB_CLIP)
+        prev_x[rows], prev_g[rows] = x, gproj
+        reference = recent[rows].max(axis=1)
         searching = np.ones(len(rows), dtype=bool)
         for _ in range(60):
             if not searching.any():
@@ -271,11 +298,12 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
             s = np.nonzero(searching)[0]
             xt = _normalized_rows(x[s] + t[s, None] * d[s], k)
             ft = kernel.form(xt)
-            ok = ft <= fs[rows[s]] - 1e-4 * t[s] * gnorm[s]
+            ok = ft <= reference[s] - 1e-4 * t[s] * gnorm[s]
             hit = s[ok]
             xs[rows[hit]] = xt[ok]
             fs[rows[hit]] = ft[ok]
-            steps[rows[hit]] = np.minimum(1.0, 2.0 * t[hit])
+            recent[rows[hit], iterations % NONMONOTONE_MEMORY] = ft[ok]
+            steps[rows[hit]] = t[hit]
             searching[hit] = False
             t[s[~ok]] *= 0.5
         # rows whose decrease fell below float resolution are done
@@ -372,10 +400,13 @@ def _newton_finish(kernel: _Kernel, lam: float, x: np.ndarray, res: float) -> tu
 
     by MINRES on the kernel's Hessian products, so no n-by-n array is
     built.  The step's x is renormalized and lam recomputed from the form.
+    The steps stop once the residual is at rounding level.
     """
     k, n = kernel.k, kernel.n
     ax = kernel.apply(x[None, :])[0]
     for _ in range(NEWTON_STEPS):
+        if res <= NEWTON_FLOOR * np.max(np.abs(ax)):
+            break
         normal = _ipow(x, k - 1)
         diag = (k - 1) * lam * (_ipow(x, k - 2) if k > 2 else 1.0)
         pairs = kernel.pair_products(x)

@@ -191,11 +191,48 @@ def test_descent_stops_once_certified():
     assert abs(res.eigenvalue + 3**0.25) <= 1e-12
 
 
-def test_uncertified_descent_runs_to_the_cap():
-    # K_{1,4}: the polished residual stalls near 2.4e-8, above the certify level
+def test_descent_certifies_k14():
+    # K_{1,4}: a descent that stalls near residual 2.4e-8, above the Newton
+    # band, runs to the cap uncertified
     res = least_h_eigenvalue(hyperstar(4, 2).graph, FAST, method="descent")
+    assert res.residual <= spectral.CERTIFY_TOLERANCE
+    assert abs(res.eigenvalue + 2.0) <= 1e-12
+
+
+def test_uncertified_descent_runs_to_the_cap():
+    # the odd cycle blowup of length 101 is still short of its minimum at the cap
+    res = least_h_eigenvalue(cycle_blowup(101, 4), FAST, method="descent")
     assert res.residual > spectral.CERTIFY_TOLERANCE
     assert res.iterations == FAST.max_iters
+
+
+def random_graph_pairs(seed, n, extra):
+    """A recursive random spanning tree plus ``extra`` distinct random chords."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+    while len(pairs) < n - 1 + extra:
+        pairs.add(tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False))))
+    return sorted(pairs)
+
+
+def test_graph_blowup_certifies_the_least_eigenvalue():
+    # no odd bipartition, so this takes descent; a stalled descent stops at
+    # the cap, here up to 4.6e-4 above the minimum
+    pairs = random_graph_pairs(1, 30, 15)
+    a = np.zeros((30, 30))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1.0
+    res = least_h_eigenvalue(blowup_power(pairs, 4))
+    assert res.method == "descent" and res.converged
+    assert res.residual <= spectral.CERTIFY_TOLERANCE
+    assert abs(res.eigenvalue - np.linalg.eigvalsh(a)[0]) <= 1e-10
+
+
+def test_unconverged_or_right_on_a_long_odd_cycle():
+    """A result marked converged must be the least eigenvalue; one that
+    stops short must say so."""
+    res = least_h_eigenvalue(cycle_blowup(101, 4))
+    assert not res.converged or abs(res.eigenvalue + 2 * np.cos(np.pi / 101)) <= 1e-6
 
 
 def test_hessian_apply_matches_finite_differences():
@@ -236,6 +273,20 @@ def test_newton_finish_certifies_stalled_residuals():
         assert res.iterations < SolverConfig().max_iters
         assert res.residual <= spectral.CERTIFY_TOLERANCE
         assert abs(res.eigenvalue + 2.0) <= 1e-12
+
+
+def test_newton_finish_stops_at_rounding_level(monkeypatch):
+    """A pair already at rounding level takes no Newton step: MINRES could
+    not meet its tolerance on a right-hand side that small."""
+    kernel = _Kernel(single_edge(4))
+    x0 = np.array([1.0, 1.0, 1.0, -1.0]) * 4**-0.25
+    lam0, _, res0 = spectral._eigen_terms(kernel, x0)
+    assert lam0 == pytest.approx(-1.0) and res0 <= 1e-15
+    calls = []
+    monkeypatch.setattr(spectral, "_minres", lambda *args: calls.append(args))
+    lam, x, res = spectral._newton_finish(kernel, lam0, x0, res0)
+    assert calls == []
+    assert (lam, x, res) == (lam0, x0, res0)
 
 
 def test_newton_finish_skips_unconverged_candidates(monkeypatch):
