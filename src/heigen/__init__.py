@@ -24,7 +24,7 @@ from .constructions import (
     kth_power_of_graph,
     relocate,
 )
-from .canon import are_isomorphic, canonical_form, canonical_graph
+from .canon import are_isomorphic, canonical_form
 from .spectral import (
     EigenResult,
     SolverConfig,

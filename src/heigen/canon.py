@@ -7,6 +7,10 @@ the quotient structure can produce, so the lexicographic minimum over class
 orderings is a true canonical form.  A branch-and-bound over class orderings
 finds it, pruning a node when its edges, padded with the next free labels,
 sort no lower than the incumbent: no completion sorts below that padding.
+Children are tried in class order (least member first); the result does not
+depend on that order, because it is the least leaf and the bound holds for
+every completion.  A search visiting more than ``NODE_BUDGET`` nodes raises
+``SearchBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from collections import defaultdict
 from .hypergraph import Hypergraph
 
 CanonicalForm = tuple[int, int, tuple[tuple[int, ...], ...]]
+
+# Far beyond anything the desk-scale families need; read at call time.
+NODE_BUDGET = 1_000_000
 
 
 def twin_classes(g: Hypergraph) -> list[tuple[int, ...]]:
@@ -30,12 +37,12 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm:
+def canonical_form(g: Hypergraph) -> CanonicalForm:
     """Lexicographically least edge list over class-contiguous relabelings.
 
     Equal outputs characterize isomorphic graphs.  Raises
     SearchBudgetExceeded if the branch-and-bound visits more than
-    ``node_budget`` nodes (far beyond anything the desk-scale families need).
+    ``NODE_BUDGET`` nodes.
     """
     if g.m == 0:
         return (g.n, g.k, ())
@@ -82,25 +89,14 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
     def descend(next_label: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(f"canonical search exceeded {node_budget} nodes")
+        if nodes > NODE_BUDGET:
+            raise SearchBudgetExceeded(f"canonical search exceeded {NODE_BUDGET} nodes")
         if next_label == g.n:
             best = sorted(tuple(p) for p in known)  # viable() passes only smaller leaves
             return
-        ranked = []
         for c in range(r):
             if used[c]:
                 continue
-            block = range(next_label, next_label + sizes[c])
-            in_c = set(class_edges[c])
-            key = sorted(
-                tuple(known[j]) + tuple(block) if j in in_c else tuple(known[j])
-                for j in range(m)
-                if known[j] or j in in_c
-            )
-            ranked.append((key, c))
-        ranked.sort()
-        for _, c in ranked:
             block = list(range(next_label, next_label + sizes[c]))
             used[c] = True
             for j in class_edges[c]:
@@ -115,12 +111,6 @@ def canonical_form(g: Hypergraph, node_budget: int = 1_000_000) -> CanonicalForm
     if best is None:
         raise RuntimeError("canonical search ended without a labelling")
     return (g.n, g.k, tuple(best))
-
-
-def canonical_graph(g: Hypergraph) -> Hypergraph:
-    """An isomorphic copy carrying the canonical edge list."""
-    n, k, edges = canonical_form(g)
-    return Hypergraph(n, k, edges)
 
 
 def are_isomorphic(g1: Hypergraph, g2: Hypergraph) -> bool:

@@ -230,6 +230,11 @@ def _verify_minimizer(args, cfg: SolverConfig, payload: dict) -> tuple[list[str]
 
 
 def cmd_verify(args) -> int:
+    # a flag the suite does not read is a usage error, not silently ignored
+    if args.trials is not None and args.suite not in ("relocation", "coalescence"):
+        raise ValueError(f"--trials does not apply to verify {args.suite}")
+    if args.family is not None and args.suite not in ("minimizer", "odd-bipartite-identity"):
+        raise ValueError(f"--family does not apply to verify {args.suite}")
     cfg = _solver_config(args)
     payload: dict = {
         "schema": "heigen-verify/1",

@@ -633,15 +633,12 @@ def transport_vector(x, relo: Relocation) -> TransportResult:
         xv1, xv2 = -xv1, -xv2
     case = "positive" if xv2 > 0.0 else ("negative" if xv2 < 0.0 else "zero")
     out = x.copy()
-    branch = list(relo.branch_vertices)
-    if case == "positive":
-        scale = xv1 / xv2
-        out[branch] = scale * x[branch]
-    elif case == "negative":
-        scale = -xv1 / xv2
-        out[branch] = -scale * x[branch]
-    else:
-        scale = 1.0
+    scale = 1.0
+    if case != "zero":
+        branch = list(relo.branch_vertices)
+        ratio = xv1 / xv2
+        scale = abs(ratio)
+        out[branch] = ratio * x[branch]
     host_sum = 0.0
     for e in relo.host.edge_star(relo.v2):
         host_sum += float(np.prod(x[list(e)]))

@@ -7,7 +7,8 @@ import pytest
 
 from heigen import Hypergraph, are_isomorphic, canonical_form, hyperstar
 from heigen.analysis import enumerate_family, enumerate_hypertrees, random_rooted_hypertree
-from heigen.canon import SearchBudgetExceeded, canonical_graph, twin_classes
+from heigen import canon
+from heigen.canon import SearchBudgetExceeded, twin_classes
 from heigen.constructions import (
     complete_hypergraph,
     cycle_blowup,
@@ -61,15 +62,26 @@ def test_matches_brute_force_on_small_graphs():
             assert canonical_form(relabel(g, rng.permutation(g.n))) == want
 
 
-def test_family_members_stay_within_a_small_node_budget():
+def test_family_members_stay_within_a_small_node_budget(monkeypatch):
+    monkeypatch.setattr(canon, "NODE_BUDGET", 1000)
     for g in enumerate_family(complete_hypergraph(5, 4), 2):
-        canonical_form(g, node_budget=1000)
+        canonical_form(g)
 
 
-def test_relabelled_k2_tree_stays_within_node_budget():
+def test_relabelled_k2_tree_stays_within_node_budget(monkeypatch):
+    monkeypatch.setattr(canon, "NODE_BUDGET", 200_000)
     rng = np.random.default_rng(10)
     tree = random_rooted_hypertree(rng, 10, 2).graph
-    canonical_form(relabel(tree, rng.permutation(tree.n)), node_budget=200_000)
+    canonical_form(relabel(tree, rng.permutation(tree.n)))
+
+
+def test_relabelled_12_edge_tree_stays_within_node_budget(monkeypatch):
+    """Trying classes in index order lets the completion bound prune early:
+    this tree took 178 388 nodes when children were ranked by their edges."""
+    monkeypatch.setattr(canon, "NODE_BUDGET", 40_000)
+    rng = np.random.default_rng(0)
+    tree = random_rooted_hypertree(rng, 12, 2).graph
+    canonical_form(relabel(tree, rng.permutation(tree.n)))
 
 
 def test_invariant_under_relabeling():
@@ -87,7 +99,7 @@ def test_canonical_graph_is_isomorphic_fixed_point():
     for g in corpus_graphs():
         if g.n > 14:
             continue
-        c = canonical_graph(g)
+        c = Hypergraph(*canonical_form(g))
         assert canonical_form(c) == canonical_form(g)
         assert c.edges == canonical_form(g)[2]
 
@@ -112,10 +124,11 @@ def test_isomorphic_and_not():
     assert not are_isomorphic(a, kth_power_of_graph([(0, 1), (0, 2)], 4))
 
 
-def test_budget_raises():
+def test_budget_raises(monkeypatch):
+    monkeypatch.setattr(canon, "NODE_BUDGET", 2)
     g = cycle_blowup(6, 6)
     with pytest.raises(SearchBudgetExceeded):
-        canonical_form(g, node_budget=2)
+        canonical_form(g)
 
 
 def incidence_nx(g: Hypergraph):

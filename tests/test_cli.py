@@ -236,6 +236,33 @@ def test_bad_verify_flags_are_usage_errors(monkeypatch, argv):
     assert asked == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minimizer", "--family", "hypertrees:m=3,k=4", "--trials", "5"),
+        ("odd-bipartite-identity", "--trials", "5"),
+        ("relocation", "--family", "hypertrees:m=3,k=4"),
+        ("coalescence", "--trials", "1", "--family", "hypertrees:m=3,k=4"),
+    ],
+)
+def test_misplaced_verify_flags_are_usage_errors(monkeypatch, capsys, argv):
+    """--trials is read only by relocation and coalescence, --family only by
+    minimizer and odd-bipartite-identity; elsewhere they exit 2 before any
+    solve instead of being ignored."""
+    asked = _stub_campaigns(monkeypatch)
+
+    def must_not_run(*args, **kwargs):
+        asked.append(args)
+        return []
+
+    for name in ("family_from_spec", "find_minimizer", "identity_corpus", "verify_odd_bipartite_identity"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    assert run("verify", *argv) == 2
+    assert asked == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --")
+
+
 def test_trials_default_per_suite(monkeypatch):
     asked = _stub_campaigns(monkeypatch)
     assert run("verify", "relocation") == 0
@@ -247,13 +274,13 @@ def test_trials_default_per_suite(monkeypatch):
 # Per suite: extra flags, the CSV header, the first text line, the record type.
 VERIFY_SHAPES = {
     "relocation": (
-        (),
+        ("--trials", "1"),
         "index,status,case,lambda_before,lambda_after,transported_value",
         r"\[00\] pass: case=\S+ lambda_before=\S+ lambda_after=\S+ transported=\S+",
         RelocationRecord,
     ),
     "coalescence": (
-        (),
+        ("--trials", "1"),
         "index,status,lambda_host,lambda_merged,root_value,branch_root_sum",
         r"\[00\] pass: lambda_host=\S+ lambda_merged=\S+ root_value=\S+ branch_root_sum=\S+",
         CoalescenceRecord,
@@ -276,7 +303,7 @@ VERIFY_SHAPES = {
 @pytest.mark.parametrize("suite", list(VERIFY_SHAPES))
 def test_verify_output_shape(tmp_path, capsys, suite):
     extra, header, first_line, record_type = VERIFY_SHAPES[suite]
-    argv = ["verify", suite, "--trials", "1", "--restarts", "8", *extra]
+    argv = ["verify", suite, "--restarts", "8", *extra]
     csv_path = tmp_path / "rows.csv"
     assert run(*argv, "--csv", str(csv_path)) == 0
     lines = capsys.readouterr().out.splitlines()
