@@ -7,10 +7,11 @@ the quotient structure can produce, so the lexicographic minimum over class
 orderings is a true canonical form.  A branch-and-bound over class orderings
 finds it, pruning a node when its edges, padded with the next free labels,
 sort no lower than the incumbent: no completion sorts below that padding.
-Children are tried in class order (least member first); the result does not
-depend on that order, because it is the least leaf and the bound holds for
-every completion.  A search visiting more than ``NODE_BUDGET`` nodes raises
-``SearchBudgetExceeded``.
+Children are tried in the order of a colour refinement of the classes,
+computed once per call, so the search's size does not depend on how the
+input is labelled; the result does not depend on that order at all, because
+it is the least leaf and the bound holds for every completion.  A search
+visiting more than ``NODE_BUDGET`` nodes raises ``SearchBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,45 @@ NODE_BUDGET = 1_000_000
 
 
 def twin_classes(g: Hypergraph) -> list[tuple[int, ...]]:
-    """Vertex classes with identical edge stars, ordered by least member."""
+    """Vertex classes with identical edge stars, ordered by least member.
+
+    The stars are built here rather than read from the graph's cached ones:
+    family growth labels every child it makes, and each member it keeps
+    would otherwise carry a tuple per vertex for as long as it lives.
+    """
+    stars: list[list[int]] = [[] for _ in range(g.n)]
+    for j, e in enumerate(g.edges):
+        for v in e:
+            stars[v].append(j)
     by_star: dict[tuple[int, ...], list[int]] = defaultdict(list)
-    for v in range(g.n):
-        by_star[g.incident_edge_indices(v)].append(v)
-    return sorted((tuple(c) for c in by_star.values()), key=lambda c: c[0])
+    for v, star in enumerate(stars):
+        by_star[tuple(star)].append(v)
+    return [tuple(c) for c in by_star.values()]  # first seen, so least member first
 
 
 class SearchBudgetExceeded(RuntimeError):
     pass
+
+
+def _refined_order(sizes: list[int], edge_classes: list[set[int]], class_edges: list[list[int]]) -> list[int]:
+    """Class indices by colour refinement, ties by least member.
+
+    A class starts coloured by its degree (highest first) and size; each
+    round recolours it by its colour and the sorted colours of the other
+    classes in each of its edges, until no colour splits.  Colours are ranks
+    of such signatures, so the order depends on the labelling only through
+    ties, and the search visits about as many nodes for every relabelling.
+    """
+    colour: list = [(-len(es), size) for size, es in zip(sizes, class_edges)]
+    while True:
+        sig = [
+            (colour[i], tuple(sorted(tuple(sorted(colour[c] for c in edge_classes[j] if c != i)) for j in es)))
+            for i, es in enumerate(class_edges)
+        ]
+        rank = {s: t for t, s in enumerate(sorted(set(sig)))}
+        if len(rank) == len(set(colour)):
+            return sorted(range(len(sizes)), key=lambda i: (rank[sig[i]], i))
+        colour = [rank[s] for s in sig]
 
 
 def canonical_form(g: Hypergraph) -> CanonicalForm:
@@ -64,6 +95,7 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
     for j, cs in enumerate(edge_classes):
         for i in cs:
             class_edges[i].append(j)
+    order = _refined_order(sizes, edge_classes, class_edges)
 
     m, k = g.m, g.k
     known: list[list[int]] = [[] for _ in range(m)]
@@ -94,7 +126,7 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
         if next_label == g.n:
             best = sorted(tuple(p) for p in known)  # viable() passes only smaller leaves
             return
-        for c in range(r):
+        for c in order:
             if used[c]:
                 continue
             block = list(range(next_label, next_label + sizes[c]))

@@ -76,12 +76,23 @@ def test_relabelled_k2_tree_stays_within_node_budget(monkeypatch):
 
 
 def test_relabelled_12_edge_tree_stays_within_node_budget(monkeypatch):
-    """Trying classes in index order lets the completion bound prune early:
-    this tree took 178 388 nodes when children were ranked by their edges."""
+    """This tree took 178 388 nodes when children were ranked by their edges
+    and 22 190 in index order; the refined order needs about 2 300."""
     monkeypatch.setattr(canon, "NODE_BUDGET", 40_000)
     rng = np.random.default_rng(0)
     tree = random_rooted_hypertree(rng, 12, 2).graph
     canonical_form(relabel(tree, rng.permutation(tree.n)))
+
+
+def test_search_size_does_not_depend_on_the_labelling(monkeypatch):
+    """In index order, relabellings of this 15-edge tree took 34 637 to
+    623 855 nodes; the refined order takes 10 540 on each of them."""
+    monkeypatch.setattr(canon, "NODE_BUDGET", 12_000)
+    rng = np.random.default_rng(0)
+    tree = random_rooted_hypertree(rng, 15, 2).graph
+    want = canonical_form(tree)
+    for _ in range(5):
+        assert canonical_form(relabel(tree, rng.permutation(tree.n))) == want
 
 
 def test_invariant_under_relabeling():
