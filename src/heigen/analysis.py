@@ -387,6 +387,9 @@ def random_rooted_hypertree(rng: np.random.Generator, m: int, k: int) -> RootedH
 # seeds 0-3 need at most 2.5 draws per record on average, so a record that
 # uses up 50 points at the solver, not at chance.
 RELOCATION_DRAWS = 50
+# Uniformity of campaign instances, and the most vertices a relocation has.
+CAMPAIGN_K = 4
+RELOCATION_N_MAX = 12
 
 
 def relocation_campaign(
@@ -394,8 +397,6 @@ def relocation_campaign(
     seed: int = 0,
     cfg: SolverConfig | None = None,
     tolerance: float = EIGENVALUE_TOLERANCE,
-    n_max: int = 12,
-    k: int = 4,
 ) -> list[RelocationRecord]:
     """Seeded random relocation instances, all satisfying the eigenvector
     precondition; orientations that fail it are swapped, instances failing
@@ -407,10 +408,10 @@ def relocation_campaign(
     while len(records) < trials:
         for _ in range(RELOCATION_DRAWS):
             branch_m = int(rng.integers(1, 3))
-            n0_max = n_max - branch_m * (k - 1)
-            n0 = int(rng.integers(k, n0_max + 1))
-            g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), k)
-            h = random_rooted_hypertree(rng, branch_m, k)
+            n0_max = RELOCATION_N_MAX - branch_m * (CAMPAIGN_K - 1)
+            n0 = int(rng.integers(CAMPAIGN_K, n0_max + 1))
+            g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), CAMPAIGN_K)
+            h = random_rooted_hypertree(rng, branch_m, CAMPAIGN_K)
             v1, v2 = (int(v) for v in rng.choice(n0, size=2, replace=False))
             rec = verify_relocation(g0, v1, v2, h, cfg, tolerance)
             if rec.status == "precondition-failed":
@@ -432,7 +433,6 @@ def coalescence_campaign(
     seed: int = 0,
     cfg: SolverConfig | None = None,
     tolerance: float = EIGENVALUE_TOLERANCE,
-    k: int = 4,
 ) -> list[CoalescenceRecord]:
     """Seeded random coalescence instances: random connected host, random
     rooted hypertree branch."""
@@ -440,10 +440,10 @@ def coalescence_campaign(
     rng = np.random.default_rng(seed)
     records = []
     for _ in range(trials):
-        n0 = int(rng.integers(k, 9))
-        g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), k)
+        n0 = int(rng.integers(CAMPAIGN_K, 9))
+        g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), CAMPAIGN_K)
         root = int(rng.integers(n0))
-        h = random_rooted_hypertree(rng, int(rng.integers(1, 3)), k)
+        h = random_rooted_hypertree(rng, int(rng.integers(1, 3)), CAMPAIGN_K)
         records.append(
             verify_coalescence_monotonicity(RootedHypergraph(g0, root), h, cfg, tolerance)
         )

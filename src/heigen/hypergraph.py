@@ -94,10 +94,6 @@ class Hypergraph:
         """The edges containing v, in stored order."""
         return tuple(self.edges[j] for j in self._vertex_edges[self._check_vertex(v)])
 
-    def incident_edge_indices(self, v: int) -> tuple[int, ...]:
-        """Indices into ``edges`` of the edges containing v."""
-        return self._vertex_edges[self._check_vertex(v)]
-
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, k={self.k}, m={self.m})"
 
@@ -133,7 +129,7 @@ def is_connected(g: Hypergraph) -> bool:
     reached = 1
     while stack:
         v = stack.pop()
-        for j in g.incident_edge_indices(v):
+        for j in g._vertex_edges[v]:
             for u in g.edges[j]:
                 if not seen[u]:
                     seen[u] = True

@@ -15,7 +15,12 @@ from heigen import (
     kth_power_of_graph,
     relocate,
 )
-from heigen.analysis import random_connected_hypergraph, random_rooted_hypertree
+from heigen.analysis import (
+    CAMPAIGN_K,
+    RELOCATION_N_MAX,
+    random_connected_hypergraph,
+    random_rooted_hypertree,
+)
 from heigen.canon import are_isomorphic
 from heigen.hypergraph import find_odd_bipartition, induced_subhypergraph
 
@@ -127,12 +132,13 @@ def test_relocate_alignment():
         relocate(g0, 1, 1, h)
 
 
-def _campaign_instances(count=10, k=4, n_max=12):
+def _campaign_instances(count=10):
     """Relocation instances drawn as relocation_campaign draws them."""
+    k = CAMPAIGN_K
     for seed in range(count):
         rng = np.random.default_rng(seed)
         branch_m = int(rng.integers(1, 3))
-        n0 = int(rng.integers(k, n_max - branch_m * (k - 1) + 1))
+        n0 = int(rng.integers(k, RELOCATION_N_MAX - branch_m * (k - 1) + 1))
         g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), k)
         h = random_rooted_hypertree(rng, branch_m, k)
         v1, v2 = (int(v) for v in rng.choice(n0, size=2, replace=False))

@@ -68,3 +68,38 @@ def f(a, b):
         "a @ b", "np.dot(a, b)", "a.dot(b)", "np.einsum('i,i', a, b)",
         "np.linalg.solve(a, b)", "np.linalg.norm(a)",
     ]
+
+
+def _callers(tree, name):
+    """Enclosing function of each call to ``name`` in a module."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == name
+    ]
+
+
+def test_only_descent_runs_the_snapped_polish():
+    """The power path's Perron vector is strictly positive, so snapping its
+    small entries to zero could only pull it toward another eigenpair; it
+    finishes with ``_polish_once`` and ``_finished`` instead."""
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    assert set(_callers(tree, "_polish")) == {"_descend_batch"}
+
+
+def test_caller_guard_catches_each_form():
+    source = """
+def f(kernel, x):
+    _polish(kernel, x)
+
+def g(kernel, x):
+    return spectral._polish(kernel, x), _polish_once(kernel, x)
+
+def h(kernel, x):
+    def inner():
+        return _polish(kernel, x)
+    return inner
+"""
+    assert _callers(ast.parse(source), "_polish") == ["f", "g", "h", "inner"]

@@ -304,6 +304,27 @@ def test_newton_finish_skips_unconverged_candidates(monkeypatch):
     assert calls == []
 
 
+def test_polish_tries_at_most_one_snapped_candidate(monkeypatch):
+    """An uncertified check polishes the plain candidate and one snapped at
+    ``SNAP``, never more."""
+    per_polish = []
+    polish, polish_once = spectral._polish, spectral._polish_once
+
+    def counted_polish(*args):
+        per_polish.append(0)
+        return polish(*args)
+
+    def counted_once(*args):
+        per_polish[-1] += 1
+        return polish_once(*args)
+
+    monkeypatch.setattr(spectral, "_polish", counted_polish)
+    monkeypatch.setattr(spectral, "_polish_once", counted_once)
+    res = least_h_eigenvalue(cycle_blowup(101, 4), SolverConfig(max_iters=100), method="descent")
+    assert not res.converged
+    assert per_polish and max(per_polish) <= 2
+
+
 def test_method_names_the_solver():
     res = least_h_eigenvalue(hyperstar(3, 4).graph, FAST)
     assert res.method == "power" and res.to_json_dict()["method"] == "power"
