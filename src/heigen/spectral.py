@@ -45,12 +45,16 @@ only while the residual falls and none taken once it is at rounding level.
 Each step is solved by MINRES on Hessian-vector products from the kernel's
 gathers, O(m*k^2) per product, so no n-by-n array is built.
 
-One batched O(m*k) kernel serves every contraction: edge products by
-column multiplies, and the scatter onto vertices by one bincount.  Integer
-powers are repeated multiplications, and inner products are elementwise
-sums.  Contraction, descent, polish, the Newton finish and power iteration
-make no BLAS call, so their results do not depend on the BLAS build or its
-thread count.
+One batched O(m*k) kernel serves every contraction: a batch is gathered
+position-major, one contiguous (rows, m) block per edge position, edge
+products are block multiplies, and the scatter onto vertices is one
+bincount.  Descent keeps its live rows' state contiguous, compacted only
+when a row freezes, and tries the halvings of the rows still backtracking
+stacked in one form call; each row takes exactly the steps it would take
+alone.  Integer powers are repeated multiplications, and inner products are
+elementwise sums.  Contraction, descent, polish, the Newton finish and
+power iteration make no BLAS call, so their results do not depend on the
+BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ GRADIENT_TOLERANCE = 1e-10
 # many of its accepted form values the nonmonotone Armijo test looks back on.
 BB_CLIP = (1e-12, 10.0)
 NONMONOTONE_MEMORY = 8
+# Halvings a still-searching descent row tries stacked in one form call.
+HALVINGS = 4
 # Fixed-point rounds per polish candidate, and the share of the largest
 # entry below which the descent's snapped candidate zeroes an entry.
 POLISH_ROUNDS = 40
@@ -160,48 +166,64 @@ def _normalized(x: np.ndarray, k: int) -> np.ndarray:
 class _Kernel:
     """Contractions of A(G) with a batch of vectors, one vector per row.
 
-    The edges are stored column-major, shape (k, m), so gathering a batch
-    gives one (rows, m) block per edge position.  ``index`` offsets each
-    vertex by its row, ``row * n + vertex``, so one bincount scatters the
-    whole batch.  A kernel serves batches of up to ``rows`` rows and reuses
-    its gather and product buffers across calls.
+    A batch is gathered position-major, shape (k, rows, m), so each edge
+    position is one contiguous (rows, m) block and the prefix and suffix
+    products of ``apply`` run on whole blocks.  One flat index,
+    ``row * n + cols[p, e]`` in (p, row, e) order, serves both the gather (a
+    take from the flattened rows) and the scatter (one bincount).  Each bin
+    receives its terms in (position, edge) order, as the row-major layout
+    gave them, so the sums are the same bits.
+
+    A kernel serves batches of up to ``rows`` rows.  It keeps the index of
+    the batch size it last applied to: descent applies to all its live
+    rows, whose count changes only when a row freezes.  A batch of another
+    size builds its index for the call.  The gather and product buffers
+    are reused across calls.
     """
 
     def __init__(self, g: Hypergraph, rows: int = 1):
-        self.n, self.k = g.n, g.k
+        self.n, self.k, self.m, self.rows = g.n, g.k, g.m, rows
         self.cols = np.ascontiguousarray(g.edge_array.T)
-        self.index = (np.arange(rows)[:, None] * g.n + self.cols.ravel()).ravel()
-        self._ex = np.empty((rows, g.k, g.m))
-        self._contrib = np.empty((rows, g.k, g.m))
+        self._index = self._flat_index(rows)
+        self._ex = np.empty(g.k * rows * g.m)
+        self._contrib = np.empty(g.k * rows * g.m)
 
-    def _gather(self, xs: np.ndarray) -> np.ndarray:
-        # every index is a vertex of g; mode="clip" only stops take from
+    def _flat_index(self, rows: int) -> np.ndarray:
+        return (np.arange(rows)[:, None] * self.n + self.cols[:, None, :]).reshape(-1)
+
+    def _gather(self, xs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        # every index is an entry of xs; mode="clip" only stops take from
         # buffering its output
-        return np.take(xs, self.cols, axis=1, out=self._ex[: len(xs)], mode="clip")
+        ex = self._ex[: index.size]
+        xs.reshape(-1).take(index, out=ex, mode="clip")
+        return ex.reshape(self.k, len(xs), self.m)
 
     def form(self, xs: np.ndarray) -> np.ndarray:
         """The degree-k form of each row."""
-        ex = self._gather(xs)
-        prod = ex[:, 0] * ex[:, 1]
+        index = self._index if self._index.size == self.cols.size * len(xs) else self._flat_index(len(xs))
+        ex = self._gather(xs, index)
+        prod = ex[0] * ex[1]
         for j in range(2, self.k):
-            prod *= ex[:, j]
+            prod *= ex[j]
         return self.k * prod.sum(axis=1)
 
     def apply(self, xs: np.ndarray) -> np.ndarray:
         """(A(G) x^{k-1}) of each row: per edge and position, the product of
         the other k-1 entries, from prefix and suffix products."""
         k, rows = self.k, len(xs)
-        ex = self._gather(xs)
-        contrib = self._contrib[:rows]
-        contrib[:, 1] = ex[:, 0]
+        if self._index.size != self.cols.size * rows:
+            self._index = self._flat_index(rows)
+        ex = self._gather(xs, self._index)
+        contrib = self._contrib[: self._index.size].reshape(k, rows, self.m)
+        contrib[1] = ex[0]
         for j in range(2, k):
-            np.multiply(contrib[:, j - 1], ex[:, j - 1], out=contrib[:, j])
-        suffix = ex[:, k - 1].copy()
+            np.multiply(contrib[j - 1], ex[j - 1], out=contrib[j])
+        # contrib[0] holds the suffix products until it is the last of them
+        contrib[0] = ex[k - 1]
         for j in range(k - 2, 0, -1):
-            contrib[:, j] *= suffix
-            suffix *= ex[:, j]
-        contrib[:, 0] = suffix
-        out = np.bincount(self.index[: contrib.size], weights=contrib.ravel(), minlength=rows * self.n)
+            contrib[j] *= contrib[0]
+            contrib[0] *= ex[j]
+        out = np.bincount(self._index, weights=contrib.reshape(-1), minlength=rows * self.n)
         return out.reshape(rows, self.n)
 
     def pair_products(self, x: np.ndarray) -> np.ndarray:
@@ -219,7 +241,7 @@ class _Kernel:
         """M v, where M_uv = sum over edges at u and v of the product of the
         other k-2 entries: the Jacobian of A x^{k-1} at the x of ``pairs``."""
         contrib = (pairs * v[self.cols][None, :, :]).sum(axis=1)
-        return np.bincount(self.index[: contrib.size], weights=contrib.ravel(), minlength=self.n)
+        return np.bincount(self.cols.reshape(-1), weights=contrib.ravel(), minlength=self.n)
 
 
 def tensor_apply(g: Hypergraph, x) -> np.ndarray:
@@ -243,7 +265,9 @@ def residual(g: Hypergraph, lam: float, x) -> float:
 
 
 def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
-    norms = np.sum(_ipow(np.abs(xs), k), axis=1) ** (1.0 / k)
+    """Rows scaled to unit k-norm, for even k: a product's rounding depends
+    only on its factors' magnitudes, so x^k is |x|^k bit for bit."""
+    norms = _ipow(xs, k).sum(axis=1) ** (1.0 / k)
     return xs / norms[:, None]
 
 
@@ -259,6 +283,15 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
     passes Armijo against the largest of the row's last
     ``NONMONOTONE_MEMORY`` accepted form values.
 
+    The live rows' state (x, form value, recent values, step, last x and
+    projected gradient) is kept contiguous and compacted only when a row
+    freezes; ``xs`` and ``fs`` hold every row's latest point and value once
+    written back, at a freeze, a check and the end.  After the first trial
+    of every row, the rows still searching try their next ``HALVINGS``
+    halvings stacked in one form call, within the kernel's rows, and each
+    takes its first passing trial: the same step the one-at-a-time search
+    accepts.
+
     Returns the polished eigenpair of the best row, as (lambda, vector,
     residual), and the number of iterations run: fewer than ``max_iters``
     when every row froze or a check certified the incumbent."""
@@ -266,57 +299,70 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
     xs = _normalized_rows(np.atleast_2d(np.asarray(x0, dtype=np.float64)), k)
     kernel = _Kernel(g, len(xs))
     fs = kernel.form(xs)
+    ids, x, f = np.arange(len(xs)), xs, fs
     recent = np.repeat(fs[:, None], NONMONOTONE_MEMORY, axis=1)
     steps = np.ones(len(xs))
     prev_x, prev_g = np.empty_like(xs), np.empty_like(xs)
-    active = np.ones(len(xs), dtype=bool)
+    halvings = 0.5 ** np.arange(1, 60)  # exact, as repeated halving is
     check, certified = FIRST_CHECK, None
     iterations = 0
-    while iterations < max_iters and active.any():
+    while iterations < max_iters and len(ids):
         iterations += 1
-        rows = np.nonzero(active)[0]
-        x = xs[rows]
-        grad = k * kernel.apply(x)
+        grad = kernel.apply(x)
+        grad *= k
         normal = _ipow(x, k - 1)  # gradient of the constraint, up to the factor k
-        coef = np.sum(grad * normal, axis=1) / np.sum(normal * normal, axis=1)
+        coef = (grad * normal).sum(axis=1) / (normal * normal).sum(axis=1)
         gproj = grad - coef[:, None] * normal
-        converged = np.max(np.abs(gproj), axis=1) < GRADIENT_TOLERANCE
-        active[rows[converged]] = False
-        live = ~converged
-        if not live.any():
-            continue  # every active row froze, so the loop ends
-        rows, x, gproj = rows[live], x[live], gproj[live]
-        gnorm = np.sqrt(np.sum(gproj * gproj, axis=1))
-        d = -gproj / gnorm[:, None]
-        t = steps[rows].copy()
-        if iterations > 1:
-            dx, dg = x - prev_x[rows], gproj - prev_g[rows]
-            dxg = np.abs(np.sum(dx * dg, axis=1))
+        frozen = np.abs(gproj).max(axis=1) < GRADIENT_TOLERANCE
+        if frozen.any():
+            live = ~frozen
+            xs[ids], fs[ids] = x, f
+            ids, x, f, recent, steps, prev_x, prev_g, gproj = (
+                a[live] for a in (ids, x, f, recent, steps, prev_x, prev_g, gproj)
+            )
+            if not len(ids):
+                break  # every live row froze
+        gnorm = np.sqrt((gproj * gproj).sum(axis=1))
+        d = gproj / -gnorm[:, None]  # IEEE division is sign-symmetric
+        if iterations == 1:
+            t = steps.copy()
+        else:
+            dx, dg = x - prev_x, gproj - prev_g
+            dxg = np.abs((dx * dg).sum(axis=1))
             with np.errstate(divide="ignore", invalid="ignore"):
-                bb = gnorm * (np.sum(dx * dx, axis=1) / dxg if iterations % 2 == 0 else dxg / np.sum(dg * dg, axis=1))
-            ok = np.isfinite(bb) & (bb > 0.0)
-            t[ok] = np.clip(bb[ok], *BB_CLIP)
-        prev_x[rows], prev_g[rows] = x, gproj
-        reference = recent[rows].max(axis=1)
-        searching = np.ones(len(rows), dtype=bool)
-        for _ in range(60):
-            if not searching.any():
-                break
-            s = np.nonzero(searching)[0]
-            xt = _normalized_rows(x[s] + t[s, None] * d[s], k)
-            ft = kernel.form(xt)
-            ok = ft <= reference[s] - 1e-4 * t[s] * gnorm[s]
-            hit = s[ok]
-            xs[rows[hit]] = xt[ok]
-            fs[rows[hit]] = ft[ok]
-            recent[rows[hit], iterations % NONMONOTONE_MEMORY] = ft[ok]
-            steps[rows[hit]] = t[hit]
-            searching[hit] = False
-            t[s[~ok]] *= 0.5
-        # rows whose decrease fell below float resolution are done
-        active[rows[searching]] = False
+                bb = gnorm * ((dx * dx).sum(axis=1) / dxg if iterations % 2 == 0 else dxg / (dg * dg).sum(axis=1))
+            t = np.where(np.isfinite(bb) & (bb > 0.0), bb.clip(*BB_CLIP), steps)
+        reference = recent.max(axis=1)
+        # the first trial of every row; xt and ft become the rows' new state
+        xt = _normalized_rows(x + t[:, None] * d, k)
+        ft = kernel.form(xt)
+        searching = (~(ft <= reference - 1e-4 * t * gnorm)).nonzero()[0]
+        tried = 1
+        while len(searching) and tried < 60:
+            s = searching
+            stack = min(HALVINGS, kernel.rows // len(s), 60 - tried)
+            ts = t[s, None] * halvings[tried - 1 : tried - 1 + stack]
+            trials = _normalized_rows((x[s, None, :] + ts[:, :, None] * d[s, None, :]).reshape(-1, g.n), k)
+            fts = kernel.form(trials).reshape(len(s), stack)
+            ok = fts <= reference[s, None] - 1e-4 * ts * gnorm[s, None]
+            hit, first = ok.any(axis=1), ok.argmax(axis=1)
+            rows, first = s[hit], first[hit]
+            xt[rows] = trials.reshape(len(s), stack, g.n)[hit, first]
+            ft[rows], t[rows] = fts[hit, first], ts[hit, first]
+            searching, tried = s[~hit], tried + stack
+        if len(searching):
+            # rows whose decrease fell below float resolution keep their
+            # point and are done
+            xt[searching], ft[searching] = x[searching], f[searching]
+            xs[ids], fs[ids] = xt, ft
+            live = np.ones(len(ids), dtype=bool)
+            live[searching] = False
+            ids, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, x, gproj, xt, ft, t, recent))
+        recent[:, iterations % NONMONOTONE_MEMORY] = ft
+        prev_x, prev_g, x, f, steps = x, gproj, xt, ft, t
         if iterations == check:
             check *= 2
+            xs[ids], fs[ids] = x, f
             # a copy: a row of xs is overwritten as descent goes on
             lam, vec, res = _polish(kernel, xs[int(np.argmin(fs))].copy())
             if res > CERTIFY_TOLERANCE:
@@ -325,6 +371,7 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
                 return lam, vec, res, iterations
             else:
                 certified = lam
+    xs[ids], fs[ids] = x, f
     lam, vec, res = _polish(kernel, xs[int(np.argmin(fs))].copy())
     return lam, vec, res, iterations
 
@@ -500,11 +547,12 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None, method: s
     _check_solvable(g)
     bip = find_odd_bipartition(g) if method == "auto" and is_connected(g) else None
     if bip is not None:
-        perron = spectral_radius(g, cfg)
-        x = np.where(np.array(bip.side) == 1, -perron.vector, perron.vector)
+        kernel = _Kernel(g)
+        _, perron, _, iterations = _perron(kernel, cfg.max_iters)
+        x = np.where(np.array(bip.side) == 1, -perron, perron)
         # each edge has an odd number of flipped entries, so lam = -rho
-        lam, _, res = _eigen_terms(_Kernel(g), x)
-        return _result(lam, x, res, perron.iterations, "power")
+        lam, _, res = _eigen_terms(kernel, x)
+        return _result(lam, x, res, iterations, "power")
     rng = np.random.default_rng(cfg.seed)
     starts = rng.uniform(-1.0, 1.0, (cfg.restarts, g.n))
     starts[~np.any(starts, axis=1)] = 0.5
@@ -529,10 +577,17 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     _check_solvable(g)
     if not is_connected(g):
         raise ValueError("spectral radius iteration requires a connected graph")
-    k = g.k
-    kernel = _Kernel(g)
-    x = _normalized(np.ones(g.n), k)
-    for iterations in range(1, cfg.max_iters + 1):
+    lam, x, res, iterations = _perron(_Kernel(g), cfg.max_iters)
+    return _result(lam, x, res, iterations, "power")
+
+
+def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, int]:
+    """``spectral_radius``'s iteration and finish on the kernel of a
+    connected graph, which the caller has checked: (rho, Perron vector,
+    residual, power steps)."""
+    k = kernel.k
+    x = _normalized(np.ones(kernel.n), k)
+    for iterations in range(1, max_iters + 1):
         xp = _ipow(x, k - 1)
         y = kernel.apply(x[None, :])[0] + xp
         ratios = y / xp
@@ -541,7 +596,7 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     lam, x, res = _finished(kernel, _polish_once(kernel, x))
-    return _result(lam, x, res, iterations, "power")
+    return lam, x, res, iterations
 
 
 def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000, seed: int = 0) -> EigenResult:

@@ -72,16 +72,23 @@ def loop_apply(g, x):
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_batched_kernel_matches_loop_reference(k):
     """Each row of the batched contraction equals the one-vector functions,
-    and both equal the per-edge loop within rounding."""
+    and both equal the per-edge loop within rounding.  One kernel of 32
+    rows serves batches of 1, 6 and 32 rows in turn, so forms on the kept
+    index and on one built for the call, and each change of the kept
+    index, are covered."""
     rng = np.random.default_rng(k)
     for _ in range(5):
         g = random_connected_hypergraph(rng, int(rng.integers(k + 2, 16)), int(rng.integers(0, 4)), k)
-        xs = rng.normal(size=(6, g.n))
+        xs = rng.normal(size=(32, g.n))
         kernel = _Kernel(g, len(xs))
-        applied, forms = kernel.apply(xs), kernel.form(xs)
-        for x, row, f in zip(xs, applied, forms):
-            assert np.array_equal(row, tensor_apply(g, x))
-            assert f == rayleigh(g, x)
+        for rows in (32, 6, 1, 6, 32, 1):
+            batch = xs[:rows]
+            forms_before, applied, forms = kernel.form(batch), kernel.apply(batch), kernel.form(batch)
+            assert np.array_equal(forms_before, forms)
+            for x, row, f in zip(batch, applied, forms):
+                assert np.array_equal(row, tensor_apply(g, x))
+                assert f == rayleigh(g, x)
+        for x, row, f in zip(xs[:6], kernel.apply(xs[:6]), kernel.form(xs[:6])):
             scale = loop_apply(g, np.abs(x))  # bounds every sum's rounding
             assert np.all(np.abs(row - loop_apply(g, x)) <= 1e-13 * scale)
             assert abs(f - loop_apply(g, x) @ x) <= 1e-13 * (scale @ np.abs(x))
@@ -204,6 +211,32 @@ def test_uncertified_descent_runs_to_the_cap():
     res = least_h_eigenvalue(cycle_blowup(101, 4), FAST, method="descent")
     assert res.residual > spectral.CERTIFY_TOLERANCE
     assert res.iterations == FAST.max_iters
+
+
+@pytest.mark.parametrize(
+    "graph, cfg, lam_hex, res_hex, iterations, converged",
+    [
+        # rows freeze at iterations 12, 13, 16 and 17
+        pytest.param(lambda: complete_hypergraph(5, 4), FAST,
+                     "-0x1.40c506b1753cap+1", "0x1.0000000000000p-52", 17, True, id="K5^4"),
+        # a member of Tm:cycle:3:4,m=2; rows freeze from iteration 62 on
+        pytest.param(lambda: Hypergraph(12, 4, ((0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5), (0, 6, 7, 8), (0, 9, 10, 11))),
+                     FAST, "-0x1.598f09454f5b0p+0", "0x1.0000000000000p-52", 100, True, id="Tm-member"),
+        # runs to the iteration cap, backtracking on most iterations
+        pytest.param(lambda: cycle_blowup(101, 4), FAST,
+                     "-0x1.ffae347b3cba4p+0", "0x1.140bfdc9ca200p-17", 2000, False, id="cycle-blowup-101"),
+        # at iteration 1833 one of 28 live rows fails all 60 trial steps
+        pytest.param(lambda: blowup_power([(i, i + 1) for i in range(49)], 4), SolverConfig(),
+                     "-0x1.ff076645e89f9p+0", "0x1.4000000000000p-54", 2000, True, id="path-blowup-50"),
+    ],
+)
+def test_descent_results_are_pinned(graph, cfg, lam_hex, res_hex, iterations, converged):
+    """Descent results pinned bit for bit: compacting the live rows and
+    stacking the backtracking halvings must leave every row's trajectory
+    unchanged, through freezes and the 60-trial cap."""
+    res = least_h_eigenvalue(graph(), cfg, method="descent")
+    assert (res.eigenvalue.hex(), res.residual.hex()) == (lam_hex, res_hex)
+    assert (res.iterations, res.converged) == (iterations, converged)
 
 
 def random_graph_pairs(seed, n, extra):
