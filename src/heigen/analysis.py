@@ -208,12 +208,25 @@ def verify_relocation(
     """Check that moving the branch toward the heavier endpoint never raises
     the least eigenvalue, along with the transported-vector bound that
     drives the argument."""
-    cfg = cfg or SolverConfig()
+    return _verify_relocation(g0, v1, v2, h, cfg or SolverConfig(), tolerance)[0]
+
+
+def _verify_relocation(
+    g0: Hypergraph,
+    v1: int,
+    v2: int,
+    h: RootedHypergraph,
+    cfg: SolverConfig,
+    tolerance: float,
+    after: EigenResult | None = None,
+) -> tuple[RelocationRecord, EigenResult]:
+    """``verify_relocation``, with the after-graph's solve passed in when the
+    caller already has it; also returns the before-graph's solve."""
     relo = relocate(g0, v1, v2, h)
     before = least_h_eigenvalue(relo.before, cfg)
     base = dict(v1=v1, v2=v2, n=relo.before.n, m=relo.before.m)
     if not before.converged:
-        return RelocationRecord(status="inconclusive", detail="before-graph solve did not converge", **base)
+        return RelocationRecord(status="inconclusive", detail="before-graph solve did not converge", **base), before
     x = before.vector
     xv1, xv2 = float(x[v1]), float(x[v2])
     if abs(xv1) < abs(xv2):
@@ -223,12 +236,13 @@ def verify_relocation(
             x_v1=xv1,
             x_v2=xv2,
             **base,
-        )
+        ), before
     tr = transport_vector(x, relo)
     carried = rayleigh(relo.after, tr.vector) / knorm(tr.vector, relo.after.k) ** relo.after.k
-    after = least_h_eigenvalue(relo.after, cfg)
+    if after is None:
+        after = least_h_eigenvalue(relo.after, cfg)
     if not after.converged:
-        return RelocationRecord(status="inconclusive", detail="after-graph solve did not converge", **base)
+        return RelocationRecord(status="inconclusive", detail="after-graph solve did not converge", **base), before
     ok = (
         after.eigenvalue <= before.eigenvalue + tolerance
         and carried <= before.eigenvalue + tolerance
@@ -244,7 +258,7 @@ def verify_relocation(
         x_v1=xv1,
         x_v2=xv2,
         **base,
-    )
+    ), before
 
 
 @dataclass(frozen=True)
@@ -413,9 +427,11 @@ def relocation_campaign(
             g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), CAMPAIGN_K)
             h = random_rooted_hypertree(rng, branch_m, CAMPAIGN_K)
             v1, v2 = (int(v) for v in rng.choice(n0, size=2, replace=False))
-            rec = verify_relocation(g0, v1, v2, h, cfg, tolerance)
+            rec, before = _verify_relocation(g0, v1, v2, h, cfg, tolerance)
             if rec.status == "precondition-failed":
-                rec = verify_relocation(g0, v2, v1, h, cfg, tolerance)
+                # the swapped after-graph is this before-graph, edge for
+                # edge, so its solve is reused
+                rec, _ = _verify_relocation(g0, v2, v1, h, cfg, tolerance, after=before)
             if rec.status != "precondition-failed":
                 break
         else:

@@ -12,7 +12,18 @@ form values, the nonmonotone search of Grippo, Lampariello & Lucidi, which
 Raydan (SIAM J. Optim. 7, 1997) pairs with BB steps and Chang, Chen & Qi
 (SIAM J. Sci. Comput. 38, 2016) use on hypergraph tensors.  The spectral
 radius of a connected graph comes from a power iteration on
-A(G) x^{k-1} + x^{k-1} (shift 1).
+A(G) x^{k-1} + x^{k-1} (shift 1), which converges linearly.  It stops when
+the Collatz-Wielandt bracket [lo, hi] of its iterate closes, and hands over
+to Newton-Noda steps (Liu, Guo & Lin, Numer. Math. 137, 2017) once a step
+fails to shrink the gap hi - lo by ``HANDOVER_RATE`` while the gap is below
+``HANDOVER_GAP`` of hi.  Each step solves B w = x^{[k-1]} with
+B = (k-1) lam diag(x^{k-2}) - M, lam = hi - 1 the upper bound on rho and M
+the Jacobian of A x^{k-1}: a symmetric nonsingular M-matrix, so w > 0 and
+the updated x stays positive.  MINRES solves it Jacobi-scaled, to the
+inexact-Newton forcing term min(0.1, gap / lam).  The steps converge
+quadratically, and a positive eigenvector belongs to rho (Chang, Pearson &
+Zhang, Commun. Math. Sci. 6, 2008).  ``iterations`` counts power and
+Newton-Noda steps together.
 
 A connected graph with even k has lambda_min = -rho exactly when it is
 odd-bipartite (Shao, Shan & Wu, Linear Multilinear Algebra 63, 2015), and
@@ -42,8 +53,9 @@ finished by up to ``NEWTON_STEPS`` Newton steps on the bordered system
 [A x^{k-1} - lam x^{[k-1]} = 0, (sum x^k - 1)/k = 0] (Absil, Mahony &
 Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), each kept
 only while the residual falls and none taken once it is at rounding level.
-Each step is solved by MINRES on Hessian-vector products from the kernel's
-gathers, O(m*k^2) per product, so no n-by-n array is built.
+Each step, like each Newton-Noda step, is solved by MINRES on
+Hessian-vector products from the kernel's gathers, O(m*k^2) per product, so
+no n-by-n array is built.
 
 One batched O(m*k) kernel serves every contraction: a batch is gathered
 position-major, one contiguous (rows, m) block per edge position, edge
@@ -52,9 +64,9 @@ bincount.  Descent keeps its live rows' state contiguous, compacted only
 when a row freezes, and tries the halvings of the rows still backtracking
 stacked in one form call; each row takes exactly the steps it would take
 alone.  Integer powers are repeated multiplications, and inner products are
-elementwise sums.  Contraction, descent, polish, the Newton finish and
-power iteration make no BLAS call, so their results do not depend on the
-BLAS build or its thread count.
+elementwise sums.  Contraction, descent, polish, the Newton finish, power
+iteration and the Newton-Noda steps make no BLAS call, so their results do
+not depend on the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -91,6 +103,11 @@ SNAP = 0.1
 NEWTON_STEPS = 3
 MINRES_TOLERANCE = 1e-10
 NEWTON_FLOOR = 64 * np.finfo(np.float64).eps
+# The power iteration hands over to Newton-Noda steps once a step fails to
+# shrink the Collatz-Wielandt gap hi - lo by this factor while the gap is
+# below HANDOVER_GAP of hi.
+HANDOVER_RATE = 0.5
+HANDOVER_GAP = 0.1
 # Best sampled starts brute_force_min descends from; 8 missed the minimum.
 ORACLE_STARTS = 16
 
@@ -117,7 +134,7 @@ class EigenResult:
     eigenvalue: float
     vector: np.ndarray
     residual: float
-    iterations: int  # descent iterations, or power-iteration steps
+    iterations: int  # descent iterations, or power plus Newton-Noda steps
     converged: bool
     method: str  # "power" or "descent"
 
@@ -406,10 +423,11 @@ def _polish_once(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, flo
     return best
 
 
-def _minres(op, b: np.ndarray, iters: int) -> np.ndarray:
+def _minres(op, b: np.ndarray, iters: int, tol: float = MINRES_TOLERANCE) -> np.ndarray:
     """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for op(z) = b
-    with op symmetric, possibly indefinite, from z = 0.  Inner products are
-    elementwise sums, so no BLAS call is made."""
+    with op symmetric, possibly indefinite, from z = 0, until the residual
+    is at most tol relative to b.  Inner products are elementwise sums, so
+    no BLAS call is made."""
     beta1 = float(np.sqrt(np.sum(b * b)))
     z = np.zeros_like(b)
     if beta1 == 0.0:
@@ -439,7 +457,7 @@ def _minres(op, b: np.ndarray, iters: int) -> np.ndarray:
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma
         z = z + phi * w
-        if phibar <= MINRES_TOLERANCE * beta1 or beta == 0.0:
+        if phibar <= tol * beta1 or beta == 0.0:
             break
     return z
 
@@ -570,6 +588,13 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     LAA 438, 2013).  A large shift slows it: with 1 + max degree,
     hyperstar(496, 4) ran 2000 steps; with 1 it takes 15.
 
+    Once the iteration stalls, with its Collatz-Wielandt gap below
+    ``HANDOVER_GAP`` of the bound and shrinking by less than
+    ``HANDOVER_RATE`` a step, Newton-Noda steps finish it quadratically
+    (see ``_newton_noda``); they keep x positive, so the result is the
+    Perron pair.  ``iterations`` counts both kinds of step, and
+    ``cfg.max_iters`` caps their sum.
+
     The iterate is refined by the fixed-point map and the Newton band, not
     by descent's snapped polish: a Perron vector has no zero entry.
     """
@@ -584,9 +609,16 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
 def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, int]:
     """``spectral_radius``'s iteration and finish on the kernel of a
     connected graph, which the caller has checked: (rho, Perron vector,
-    residual, power steps)."""
+    residual, steps).
+
+    Shifted power steps run until the Collatz-Wielandt bracket [lo, hi] of
+    the iterate closes, or until a step fails to shrink its gap hi - lo by
+    ``HANDOVER_RATE`` while the gap is below ``HANDOVER_GAP`` of hi; then
+    ``_newton_noda`` takes over.  The steps returned count both kinds, and
+    ``max_iters`` caps their sum."""
     k = kernel.k
     x = _normalized(np.ones(kernel.n), k)
+    gap = np.inf
     for iterations in range(1, max_iters + 1):
         xp = _ipow(x, k - 1)
         y = kernel.apply(x[None, :])[0] + xp
@@ -595,8 +627,64 @@ def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, 
         x = _normalized(y ** (1.0 / (k - 1)), k)
         if hi - lo < 1e-13 * max(1.0, hi):
             break
+        if HANDOVER_GAP * hi > hi - lo > HANDOVER_RATE * gap:
+            x, iterations = _newton_noda(kernel, x, iterations, max_iters)
+            break
+        gap = hi - lo
     lam, x, res = _finished(kernel, _polish_once(kernel, x))
     return lam, x, res, iterations
+
+
+def _bracket(kernel: _Kernel, x: np.ndarray) -> tuple[float, float]:
+    """The Collatz-Wielandt bounds of the shifted map at a positive x: the
+    least and largest (A x^{k-1} + x^{[k-1]}) / x^{[k-1]}, which bracket
+    rho + 1."""
+    xp = _ipow(x, kernel.k - 1)
+    ratios = (kernel.apply(x[None, :])[0] + xp) / xp
+    return float(ratios.min()), float(ratios.max())
+
+
+def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int) -> tuple[np.ndarray, int]:
+    """Newton-Noda steps (Liu, Guo & Lin, Numer. Math. 137, 2017) from the
+    positive power iterate x, while the bracket stays open and the steps
+    number at most ``max_iters`` in all: (x, steps).
+
+    With lam = hi - 1, the upper bound on rho, a step solves B w =
+    x^{[k-1]} for B = (k-1) lam diag(x^{k-2}) - M, M the Jacobian of
+    A x^{k-1}.  B x = (k-1)(lam x^{[k-1]} - A x^{k-1}) >= 0, so B is a
+    symmetric nonsingular M-matrix: positive definite, with w > 0.  MINRES
+    solves it Jacobi-scaled, D^{-1/2} B D^{-1/2} for D = diag(B), to the
+    inexact-Newton forcing term min(0.1, gap / lam), at least 1e-12.  The
+    new x is ((k-2) x + w / <x^{[k-1]}, w>) / (k-1), normalized; for k = 2
+    this is Noda's step.  A step is kept only if x stays positive and the
+    gap shrinks; a failed step is solved once more to 1e-12, and a second
+    failure ends the steps."""
+    k = kernel.k
+    lo, hi = _bracket(kernel, x)
+    while iterations < max_iters and hi - lo >= 1e-13 * max(1.0, hi):
+        lam, gap = hi - 1.0, hi - lo
+        xp = _ipow(x, k - 1)
+        scale = 1.0 / np.sqrt((k - 1) * lam * (_ipow(x, k - 2) if k > 2 else 1.0))
+        pairs = kernel.pair_products(x)
+
+        def scaled(z: np.ndarray) -> np.ndarray:
+            return z - scale * kernel.hessian_apply(pairs, scale * z)
+
+        forcing = max(min(0.1, gap / lam), 1e-12)
+        for tol in (forcing, 1e-12) if forcing > 1e-12 else (1e-12,):
+            w = scale * _minres(scaled, scale * xp, 2 * kernel.n, tol)
+            dot = float(np.sum(xp * w))
+            cur = ((k - 2) * x + w / dot) / (k - 1)
+            if dot > 0.0 and np.all(cur > 0.0):
+                cur = _normalized(cur, k)
+                cur_lo, cur_hi = _bracket(kernel, cur)
+                if cur_hi - cur_lo < gap:
+                    break
+        else:
+            break  # no kept step at either tolerance
+        x, lo, hi = cur, cur_lo, cur_hi
+        iterations += 1
+    return x, iterations
 
 
 def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000, seed: int = 0) -> EigenResult:
@@ -621,18 +709,23 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
         parity[j] = np.bitwise_xor.reduce(bits[list(e)], axis=0)
     edge_signs = (1 - 2 * parity).astype(np.float64)
 
-    candidates = []
-    profiles = [np.ones(n)] + [rng.uniform(0.05, 1.0, n) for _ in range(samples - 1)]
-    for mag in profiles:
-        mag = _normalized(mag, k)
-        w = np.prod(mag[edge], axis=1)
+    profiles = np.vstack([np.ones(n), rng.uniform(0.05, 1.0, (samples - 1, n))])
+    # each k-th root is a scalar power and each profile is scored by its own
+    # vector-matrix product: np.power over the array rounds some roots
+    # differently, and one matrix-matrix product need not round as the row
+    # products do, either of which can change the chosen starts
+    norms = [float(s ** (1.0 / k)) for s in _ipow(profiles, k).sum(axis=1)]
+    profiles /= np.array(norms)[:, None]
+    weights = np.prod(profiles[:, edge], axis=2)
+    best, signs = np.empty(samples), np.empty(samples, dtype=np.int64)
+    for i, w in enumerate(weights):
         scores = k * (w @ edge_signs)
-        t = int(np.argmin(scores))
-        candidates.append((float(scores[t]), mag * (1 - 2 * bits[:, t])))
+        signs[i] = np.argmin(scores)
+        best[i] = scores[signs[i]]
     # descend from the several best starts; a single start can stall in a
     # local minimum even when the sampled value itself is the lowest
-    candidates.sort(key=lambda pair: pair[0])
-    starts = np.stack([x for _, x in candidates[:ORACLE_STARTS]])
+    order = np.argsort(best, kind="stable")[:ORACLE_STARTS]
+    starts = profiles[order] * (1 - 2 * bits[:, signs[order]]).T
     lam, x, res, iterations = _descend_batch(g, starts, refine_iters)
     return _result(lam, x, res, iterations, "descent")
 

@@ -316,16 +316,42 @@ def test_campaigns_smoke():
     assert all(r.status == "pass" for r in crecs)
 
 
+def test_swapped_relocation_reuses_the_first_solve(monkeypatch):
+    """When the campaign swaps the orientation, the swapped after-graph is
+    the first before-graph, so it is solved once, and the record is the one
+    the public check gives for the swapped orientation."""
+    relocations, solves = [], []
+    real_relocate, real_solve = analysis.relocate, analysis.least_h_eigenvalue
+
+    def spy_relocate(g0, v1, v2, h):
+        relocations.append((g0, v1, v2, h))
+        return real_relocate(g0, v1, v2, h)
+
+    def spy_solve(g, cfg=None, method="auto"):
+        solves.append(g)
+        return real_solve(g, cfg, method)
+
+    monkeypatch.setattr(analysis, "relocate", spy_relocate)
+    monkeypatch.setattr(analysis, "least_h_eigenvalue", spy_solve)
+    [rec] = relocation_campaign(trials=1, seed=0, cfg=FAST)
+    (g0, v1, v2, h), swapped = relocations
+    assert swapped == (g0, v2, v1, h) and rec.status == "pass"
+    # the first before-graph and the swapped one; no third solve
+    assert len(solves) == 2
+    monkeypatch.undo()
+    assert rec == verify_relocation(g0, v2, v1, h, FAST)
+
+
 def test_relocation_campaign_is_bounded(monkeypatch):
     """Draws failing the precondition both ways end each record as
     inconclusive after RELOCATION_DRAWS draws instead of looping forever."""
     calls = []
 
-    def always_fails(g0, v1, v2, h, cfg, tolerance):
+    def always_fails(g0, v1, v2, h, cfg, tolerance, after=None):
         calls.append((v1, v2))
-        return RelocationRecord(status="precondition-failed", v1=v1, v2=v2, n=g0.n, m=g0.m)
+        return RelocationRecord(status="precondition-failed", v1=v1, v2=v2, n=g0.n, m=g0.m), None
 
-    monkeypatch.setattr(analysis, "verify_relocation", always_fails)
+    monkeypatch.setattr(analysis, "_verify_relocation", always_fails)
     recs = relocation_campaign(trials=2, seed=0, cfg=FAST)
     assert [r.status for r in recs] == ["inconclusive", "inconclusive"]
     assert "precondition failed both ways" in recs[0].detail

@@ -28,9 +28,9 @@ from heigen import (
     tensor_apply,
     transport_vector,
 )
-from heigen.analysis import random_connected_hypergraph
+from heigen.analysis import _grow_family, enumerate_hypertrees, random_connected_hypergraph
 from heigen.constructions import RootedHypergraph
-from heigen.hypergraph import induced_subhypergraph
+from heigen.hypergraph import induced_subhypergraph, is_connected
 from heigen import spectral
 from heigen.spectral import _ipow, _Kernel
 
@@ -525,6 +525,85 @@ def slow_power_iteration(g, max_iters=20000):
 def test_spectral_radius_matches_independent_iteration():
     g = kth_power_of_graph([(0, 1), (1, 2), (1, 3), (3, 4)], 4)
     assert abs(spectral_radius(g).eigenvalue - slow_power_iteration(g)) <= 1e-7
+
+
+def hypertree_50():
+    """The 50-edge random hypertree the solve-large benchmark solves: each
+    pendant edge attaches at a uniform existing vertex."""
+    rng = np.random.default_rng(0)
+    n, edges = 4, [(0, 1, 2, 3)]
+    for _ in range(49):
+        edges.append((int(rng.integers(n)), n, n + 1, n + 2))
+        n += 3
+    return Hypergraph(n, 4, tuple(edges))
+
+
+@pytest.mark.parametrize("length, steps", [(100, 15), (200, 16)])
+def test_long_path_blowups_certify(length, steps):
+    """Power iteration alone crawls on long paths and stopped at the cap;
+    the Newton-Noda finish reaches the closed form in a few steps."""
+    res = least_h_eigenvalue(blowup_power([(i, i + 1) for i in range(length - 1)], 4))
+    assert res.method == "power" and res.converged
+    assert res.iterations == steps
+    assert abs(res.eigenvalue + 2 * np.cos(np.pi / (length + 1))) <= 1e-12
+
+
+def test_hyperstar_fast_path_is_pinned():
+    """A hyperstar's bracket closes during the power phase, so it never
+    hands over and keeps the power iteration's bits."""
+    res = least_h_eigenvalue(hyperstar(173, 4).graph)
+    assert (res.eigenvalue.hex(), res.iterations) == ("-0x1.d037ad2bf9894p+1", 11)
+
+
+def test_newton_noda_runs_only_once_power_iteration_stalls(monkeypatch):
+    calls = []
+    real = spectral._newton_noda
+
+    def counted(kernel, x, iterations, max_iters):
+        calls.append(iterations)
+        return real(kernel, x, iterations, max_iters)
+
+    monkeypatch.setattr(spectral, "_newton_noda", counted)
+    for m in (5, 173, 300):
+        assert least_h_eigenvalue(hyperstar(m, 4).graph).converged
+    assert calls == []
+    res = least_h_eigenvalue(hypertree_50())
+    assert len(calls) == 1 and res.converged
+    # 22 power steps and 8 Newton-Noda steps; power steps alone took 705
+    assert (calls[0], res.iterations) == (22, 30)
+
+
+def test_failed_newton_noda_step_is_retried_once_then_ends_the_steps(monkeypatch):
+    """A step that does not narrow the bracket (here from a flat w) is
+    solved once more to 1e-12; when that fails too, no step is kept."""
+    tols = []
+
+    def flat(op, b, iters, tol=spectral.MINRES_TOLERANCE):
+        tols.append(tol)
+        return np.ones_like(b)
+
+    monkeypatch.setattr(spectral, "_minres", flat)
+    res = least_h_eigenvalue(hypertree_50())
+    assert tols[:2] == [0.1, 1e-12]
+    assert res.iterations == 22
+
+
+def perron_hypertrees():
+    trees = [t for k in (2, 4) for m in range(1, 6) for t in enumerate_hypertrees(m, k)]
+    trees += [t for m in range(1, 5) for t in _grow_family(single_edge(6), m - 1)]
+    return trees
+
+
+def test_spectral_radius_vector_is_positive_and_closes_its_bracket():
+    """The returned vector is strictly positive, and its own Collatz-Wielandt
+    ratios agree to 1e-12 relative, so rho is pinned by them alone."""
+    graphs = [g for g in corpus_graphs() if g.k % 2 == 0 and g.m and is_connected(g)]
+    for g in graphs + perron_hypertrees():
+        r = spectral_radius(g)
+        assert np.all(r.vector > 0.0)
+        ratios = tensor_apply(g, r.vector) / r.vector ** (g.k - 1)
+        assert ratios.max() - ratios.min() <= 1e-12 * ratios.max()
+        assert ratios.min() <= r.eigenvalue * (1 + 1e-12) and r.eigenvalue <= ratios.max() * (1 + 1e-12)
 
 
 def test_spectral_radius_requires_connected():
