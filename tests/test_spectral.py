@@ -588,17 +588,13 @@ def test_failed_newton_noda_step_is_retried_once_then_ends_the_steps(monkeypatch
     assert res.iterations == 22
 
 
-def perron_hypertrees():
-    trees = [t for k in (2, 4) for m in range(1, 6) for t in enumerate_hypertrees(m, k)]
-    trees += [t for m in range(1, 5) for t in _grow_family(single_edge(6), m - 1)]
-    return trees
-
-
 def test_spectral_radius_vector_is_positive_and_closes_its_bracket():
     """The returned vector is strictly positive, and its own Collatz-Wielandt
     ratios agree to 1e-12 relative, so rho is pinned by them alone."""
     graphs = [g for g in corpus_graphs() if g.k % 2 == 0 and g.m and is_connected(g)]
-    for g in graphs + perron_hypertrees():
+    graphs += [t for k in (2, 4) for m in range(1, 6) for t in enumerate_hypertrees(m, k)]
+    graphs += [t for m in range(1, 5) for t in _grow_family(single_edge(6), m - 1)]
+    for g in graphs:
         r = spectral_radius(g)
         assert np.all(r.vector > 0.0)
         ratios = tensor_apply(g, r.vector) / r.vector ** (g.k - 1)
