@@ -138,7 +138,7 @@ ORACLE_SAMPLES = 256
 
 def find_minimizer(
     family,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
     family_name: str = "",
 ) -> SearchReport:
@@ -151,7 +151,6 @@ def find_minimizer(
     family = list(family)
     if not family:
         raise ValueError("family must be nonempty")
-    cfg = cfg or SolverConfig()
     entries = []
     for g in family:
         r = least_h_eigenvalue(g, cfg)
@@ -202,13 +201,13 @@ def verify_relocation(
     v1: int,
     v2: int,
     h: RootedHypergraph,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> RelocationRecord:
     """Check that moving the branch toward the heavier endpoint never raises
     the least eigenvalue, along with the transported-vector bound that
     drives the argument."""
-    return _verify_relocation(g0, v1, v2, h, cfg or SolverConfig(), tolerance)[0]
+    return _verify_relocation(g0, v1, v2, h, cfg, tolerance)[0]
 
 
 def _verify_relocation(
@@ -278,13 +277,12 @@ class CoalescenceRecord:
 def verify_coalescence_monotonicity(
     g0: RootedHypergraph,
     h: RootedHypergraph,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> CoalescenceRecord:
     """Check that gluing a branch onto the host can only lower the least
     eigenvalue, strictly so when the host's eigenvector is nonzero at the
     gluing vertex; also records the branch-edge product sum at the root."""
-    cfg = cfg or SolverConfig()
     if not is_connected(g0.graph) or not is_connected(h.graph):
         raise ValueError("coalescence verification requires connected inputs")
     coal = coalesce(g0, h)
@@ -324,7 +322,7 @@ class IdentityRecord:
 
 def verify_odd_bipartite_identity(
     g: Hypergraph,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> IdentityRecord:
     """With an odd bipartition the least eigenvalue must equal minus the
@@ -333,7 +331,6 @@ def verify_odd_bipartite_identity(
     lambda_min >= -rho always holds, and descent only gives an upper bound
     on lambda_min.  So with a witness, a gap above tolerance means descent
     missed the minimum: inconclusive, not a violation."""
-    cfg = cfg or SolverConfig()
     bip = find_odd_bipartition(g)
     # descent, not the fast path, which would return -rho by construction
     lo = least_h_eigenvalue(g, cfg, method="descent")
@@ -409,14 +406,13 @@ RELOCATION_N_MAX = 12
 def relocation_campaign(
     trials: int = 30,
     seed: int = 0,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> list[RelocationRecord]:
     """Seeded random relocation instances, all satisfying the eigenvector
     precondition; orientations that fail it are swapped, instances failing
     both ways are redrawn.  A record that finds no instance within
     RELOCATION_DRAWS draws is reported inconclusive."""
-    cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
     records: list[RelocationRecord] = []
     while len(records) < trials:
@@ -447,12 +443,11 @@ def relocation_campaign(
 def coalescence_campaign(
     trials: int = 20,
     seed: int = 0,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> list[CoalescenceRecord]:
     """Seeded random coalescence instances: random connected host, random
     rooted hypertree branch."""
-    cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
     records = []
     for _ in range(trials):

@@ -26,8 +26,9 @@ CanonicalForm = tuple[int, int, tuple[tuple[int, ...], ...]]
 NODE_BUDGET = 1_000_000
 
 
-def twin_classes(g: Hypergraph) -> list[tuple[int, ...]]:
-    """Vertex classes with identical edge stars, ordered by least member.
+def twin_classes(g: Hypergraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Vertex classes with identical edge stars as (members, star) pairs, the
+    star being the indices of the class's edges, ordered by least member.
 
     The stars are built here rather than read from the graph's cached ones:
     family growth labels every child it makes, and each member it keeps
@@ -40,14 +41,14 @@ def twin_classes(g: Hypergraph) -> list[tuple[int, ...]]:
     by_star: dict[tuple[int, ...], list[int]] = defaultdict(list)
     for v, star in enumerate(stars):
         by_star[tuple(star)].append(v)
-    return [tuple(c) for c in by_star.values()]  # first seen, so least member first
+    return [(tuple(c), star) for star, c in by_star.items()]  # first seen, so least member first
 
 
 class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-def _refined_order(sizes: list[int], edge_classes: list[set[int]], class_edges: list[list[int]]) -> list[int]:
+def _refined_order(sizes: list[int], class_edges: list[tuple[int, ...]], m: int) -> list[int]:
     """Class indices by colour refinement, ties by least member.
 
     A class starts coloured by its degree (highest first) and size; each
@@ -56,6 +57,10 @@ def _refined_order(sizes: list[int], edge_classes: list[set[int]], class_edges: 
     of such signatures, so the order depends on the labelling only through
     ties, and the search visits about as many nodes for every relabelling.
     """
+    edge_classes: list[list[int]] = [[] for _ in range(m)]
+    for i, es in enumerate(class_edges):
+        for j in es:
+            edge_classes[j].append(i)
     colour: list = [(-len(es), size) for size, es in zip(sizes, class_edges)]
     while True:
         sig = [
@@ -75,31 +80,16 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
     SearchBudgetExceeded if the branch-and-bound visits more than
     ``NODE_BUDGET`` nodes.
     """
-    if g.m == 0:
-        return (g.n, g.k, ())
     classes = twin_classes(g)
-    r = len(classes)
-    sizes = [len(c) for c in classes]
-    class_of = {}
-    for i, c in enumerate(classes):
-        for v in c:
-            class_of[v] = i
-    # Each edge as the set of classes it contains; whole classes only.
-    edge_classes: list[set[int]] = []
-    for e in g.edges:
-        cs = {class_of[v] for v in e}
-        if sum(sizes[i] for i in cs) != g.k:
-            raise RuntimeError(f"edge {e} splits a twin class")
-        edge_classes.append(cs)
-    class_edges: list[list[int]] = [[] for _ in range(r)]
-    for j, cs in enumerate(edge_classes):
-        for i in cs:
-            class_edges[i].append(j)
-    order = _refined_order(sizes, edge_classes, class_edges)
-
+    sizes = [len(c) for c, _ in classes]
+    # Every member of a class has exactly the class's star, so an edge that
+    # meets a class contains all of it: each edge is a union of whole classes.
+    class_edges = [star for _, star in classes]
     m, k = g.m, g.k
+    order = _refined_order(sizes, class_edges, m)
+
     known: list[list[int]] = [[] for _ in range(m)]
-    used = [False] * r
+    used = [False] * len(classes)
     best: list[tuple[int, ...]] | None = None
     nodes = 0
 
@@ -148,9 +138,8 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
 def are_isomorphic(g1: Hypergraph, g2: Hypergraph) -> bool:
     if (g1.n, g1.k, g1.m) != (g2.n, g2.k, g2.m):
         return False
-    if sorted(g1.degree(v) for v in range(g1.n)) != sorted(g2.degree(v) for v in range(g2.n)):
-        return False
-    c1, c2 = twin_classes(g1), twin_classes(g2)
-    if sorted(len(c) for c in c1) != sorted(len(c) for c in c2):
+    # (size, degree) per class: implies equal degree sequences and class sizes
+    shape1, shape2 = (sorted((len(c), len(star)) for c, star in twin_classes(g)) for g in (g1, g2))
+    if shape1 != shape2:
         return False
     return canonical_form(g1) == canonical_form(g2)

@@ -549,7 +549,7 @@ def _check_solvable(g: Hypergraph) -> None:
         raise ValueError("graph has no edges")
 
 
-def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None, method: str = "auto") -> EigenResult:
+def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig = SolverConfig(), method: str = "auto") -> EigenResult:
     """The least H-eigenpair.
 
     With ``method="auto"`` a connected graph with an odd bipartition gets
@@ -561,7 +561,6 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None, method: s
     """
     if method not in ("auto", "descent"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'descent'")
-    cfg = cfg or SolverConfig()
     _check_solvable(g)
     bip = find_odd_bipartition(g) if method == "auto" and is_connected(g) else None
     if bip is not None:
@@ -578,7 +577,7 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig | None = None, method: s
     return _result(lam, x, res, iterations, "descent")
 
 
-def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResult:
+def spectral_radius(g: Hypergraph, cfg: SolverConfig = SolverConfig()) -> EigenResult:
     """Largest H-eigenvalue of the nonnegative adjacency tensor.
 
     Power iteration on A(G) x^{k-1} + x^{k-1} from the all-ones direction.
@@ -598,7 +597,6 @@ def spectral_radius(g: Hypergraph, cfg: SolverConfig | None = None) -> EigenResu
     The iterate is refined by the fixed-point map and the Newton band, not
     by descent's snapped polish: a Perron vector has no zero entry.
     """
-    cfg = cfg or SolverConfig()
     _check_solvable(g)
     if not is_connected(g):
         raise ValueError("spectral radius iteration requires a connected graph")
@@ -620,10 +618,7 @@ def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, 
     x = _normalized(np.ones(kernel.n), k)
     gap = np.inf
     for iterations in range(1, max_iters + 1):
-        xp = _ipow(x, k - 1)
-        y = kernel.apply(x[None, :])[0] + xp
-        ratios = y / xp
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        lo, hi, y = _bracket(kernel, x)
         x = _normalized(y ** (1.0 / (k - 1)), k)
         if hi - lo < 1e-13 * max(1.0, hi):
             break
@@ -635,13 +630,14 @@ def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, 
     return lam, x, res, iterations
 
 
-def _bracket(kernel: _Kernel, x: np.ndarray) -> tuple[float, float]:
-    """The Collatz-Wielandt bounds of the shifted map at a positive x: the
-    least and largest (A x^{k-1} + x^{[k-1]}) / x^{[k-1]}, which bracket
-    rho + 1."""
+def _bracket(kernel: _Kernel, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The Collatz-Wielandt bounds of the shifted map at a positive x, the
+    least and largest y / x^{[k-1]} for y = A x^{k-1} + x^{[k-1]}, which
+    bracket rho + 1; and y: (lo, hi, y)."""
     xp = _ipow(x, kernel.k - 1)
-    ratios = (kernel.apply(x[None, :])[0] + xp) / xp
-    return float(ratios.min()), float(ratios.max())
+    y = kernel.apply(x[None, :])[0] + xp
+    ratios = y / xp
+    return float(ratios.min()), float(ratios.max()), y
 
 
 def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int) -> tuple[np.ndarray, int]:
@@ -660,7 +656,7 @@ def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int
     gap shrinks; a failed step is solved once more to 1e-12, and a second
     failure ends the steps."""
     k = kernel.k
-    lo, hi = _bracket(kernel, x)
+    lo, hi, _ = _bracket(kernel, x)
     while iterations < max_iters and hi - lo >= 1e-13 * max(1.0, hi):
         lam, gap = hi - 1.0, hi - lo
         xp = _ipow(x, k - 1)
@@ -677,7 +673,7 @@ def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int
             cur = ((k - 2) * x + w / dot) / (k - 1)
             if dot > 0.0 and np.all(cur > 0.0):
                 cur = _normalized(cur, k)
-                cur_lo, cur_hi = _bracket(kernel, cur)
+                cur_lo, cur_hi, _ = _bracket(kernel, cur)
                 if cur_hi - cur_lo < gap:
                     break
         else:

@@ -1,6 +1,7 @@
 """Canonical form checked against brute-force relabeling oracles."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,10 +128,18 @@ def test_canonical_graph_is_isomorphic_fixed_point():
 def test_twin_classes_partition():
     g = hyperstar(3, 4).graph
     classes = twin_classes(g)
-    assert sorted(v for cl in classes for v in cl) == list(range(g.n))
+    assert sorted(v for cl, _ in classes for v in cl) == list(range(g.n))
     # center is alone, each edge's leaves form one class
-    sizes = sorted(len(cl) for cl in classes)
+    sizes = sorted(len(cl) for cl, _ in classes)
     assert sizes == [1, 3, 3, 3]
+    for h in [g] + corpus_graphs():
+        for cl, star in twin_classes(h):
+            for v in cl:
+                assert star == tuple(h.edges.index(e) for e in h.edge_star(v))
+
+
+def test_empty_graph_has_an_empty_form():
+    assert canonical_form(Hypergraph(0, 4, ())) == (0, 4, ())
 
 
 def test_isomorphic_and_not():
@@ -147,6 +156,39 @@ def test_isomorphic_and_not():
 def test_budget_raises(monkeypatch):
     monkeypatch.setattr(canon, "NODE_BUDGET", 2)
     g = cycle_blowup(6, 6)
+    with pytest.raises(SearchBudgetExceeded):
+        canonical_form(g)
+
+
+def test_class_shapes_reject_without_a_search(monkeypatch):
+    """Equal degree sequences and class sizes, but the twin pair has degree
+    2 in one graph and 3 in the other: the (class size, degree) pairs tell
+    them apart, so neither graph is labelled."""
+    a = Hypergraph(7, 4, ((0, 1, 2, 4), (0, 1, 2, 6), (0, 4, 5, 6), (3, 4, 5, 6)))
+    b = Hypergraph(7, 4, ((0, 1, 4, 5), (0, 2, 3, 6), (0, 2, 5, 6), (1, 2, 3, 6)))
+    assert sorted(a.degree(v) for v in range(7)) == sorted(b.degree(v) for v in range(7))
+    assert sorted(Counter(map(a.edge_star, range(7))).values()) == sorted(Counter(map(b.edge_star, range(7))).values())
+    calls = []
+    monkeypatch.setattr(canon, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    assert not are_isomorphic(a, b)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        (hyperstar(5, 4).graph, 89),
+        (cycle_blowup(5, 4), 33),
+        # a member of enumerate_hypertrees(5, 4), whose nine members take 635
+        (Hypergraph(16, 4, ((0, 1, 2, 3), (0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (3, 13, 14, 15))), 115),
+    ],
+)
+def test_node_counts_are_pinned(monkeypatch, g, nodes):
+    """The search visits exactly this many nodes, so a change to the class
+    order or the completion bound shows here."""
+    monkeypatch.setattr(canon, "NODE_BUDGET", nodes)
+    canonical_form(g)
+    monkeypatch.setattr(canon, "NODE_BUDGET", nodes - 1)
     with pytest.raises(SearchBudgetExceeded):
         canonical_form(g)
 
