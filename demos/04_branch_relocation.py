@@ -56,8 +56,8 @@ print(f"  lambda(before)    = {before.eigenvalue:+.9f}")
 print(f"  transported bound = {carried.transported_value:+.9f}")
 print(f"  lambda(after)     = {after.eigenvalue:+.9f}")
 
-# The campaign draws random hosts and branches, keeping only instances that
-# meet the eigenvector precondition, and checks every record.
+# The coalescence campaign draws random hosts, roots and hypertree branches,
+# and checks every gluing.
 records = coalescence_campaign(trials=5, seed=3)
 print("\nrandom coalescence instances:")
 for r in records:

@@ -28,9 +28,7 @@ from .canon import are_isomorphic, canonical_form
 from .spectral import (
     EigenResult,
     SolverConfig,
-    TransportResult,
     UnsupportedUniformityError,
-    branch_contribution,
     brute_force_min,
     knorm,
     least_h_eigenvalue,
@@ -38,16 +36,18 @@ from .spectral import (
     residual,
     spectral_radius,
     tensor_apply,
-    transport_vector,
 )
 from .analysis import (
     SearchEntry,
     SearchReport,
+    TransportResult,
+    branch_contribution,
     coalescence_campaign,
     enumerate_family,
     enumerate_hypertrees,
     find_minimizer,
     relocation_campaign,
+    transport_vector,
     verify_coalescence_monotonicity,
     verify_odd_bipartite_identity,
     verify_relocation,

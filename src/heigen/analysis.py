@@ -17,6 +17,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph, find_odd_bipartition, is_connected
 from .constructions import (
+    Relocation,
     RootedHypergraph,
     coalesce,
     complete_hypergraph,
@@ -27,15 +28,13 @@ from .constructions import (
 from .canon import are_isomorphic, canonical_form
 from .spectral import (
     EIGENVALUE_TOLERANCE,
-    EigenResult,
     SolverConfig,
-    branch_contribution,
+    _as_vector,
     brute_force_min,
     knorm,
     least_h_eigenvalue,
     rayleigh,
     spectral_radius,
-    transport_vector,
 )
 
 
@@ -62,8 +61,7 @@ def enumerate_hypertrees(m: int, k: int) -> list[Hypergraph]:
         raise ValueError(f"hypertree enumeration supports k in (2, 4), got {k}")
     if not 1 <= m <= 5:
         raise ValueError(f"hypertree enumeration supports 1 <= m <= 5, got {m}")
-    single = Hypergraph(k, k, (tuple(range(k)),))
-    return _grow_family(single, m - 1)
+    return _grow_family(hyperstar(1, k).graph, m - 1)
 
 
 def enumerate_family(g0: Hypergraph, m: int) -> list[Hypergraph]:
@@ -178,6 +176,51 @@ def find_minimizer(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class TransportResult:
+    """A candidate vector carried across a relocation, with the bookkeeping
+    the comparison argument needs."""
+
+    vector: np.ndarray
+    case: str
+    scale: float
+    host_contribution: float
+
+
+def transport_vector(x, relo: Relocation) -> TransportResult:
+    """Carry a vector on the before-graph to the after-graph of a relocation.
+
+    With s = |x_{v1}/x_{v2}| (requires |x_{v1}| >= |x_{v2}|), the branch part
+    is scaled by s when x_{v2} > 0 ("positive"), copied unchanged when
+    x_{v2} = 0 ("zero"), and scaled by -s when x_{v2} < 0 ("negative"), after
+    flipping the whole vector to make x_{v1} nonnegative if needed (k is
+    even, so the flip changes nothing measurable).  Also reports the sum of
+    host-edge products at the detachment vertex.
+    """
+    g = relo.before
+    x = _as_vector(g, x)
+    xv1, xv2 = float(x[relo.v1]), float(x[relo.v2])
+    if abs(xv1) < abs(xv2):
+        raise ValueError(
+            f"transport requires |x[v1]| >= |x[v2]|, got |{xv1}| < |{xv2}|"
+        )
+    if xv1 < 0.0:
+        x = -x
+        xv1, xv2 = -xv1, -xv2
+    case = "positive" if xv2 > 0.0 else ("negative" if xv2 < 0.0 else "zero")
+    out = x.copy()
+    scale = 1.0
+    if case != "zero":
+        branch = list(relo.branch_vertices)
+        ratio = xv1 / xv2
+        scale = abs(ratio)
+        out[branch] = ratio * x[branch]
+    host_sum = 0.0
+    for e in relo.host.edge_star(relo.v2):
+        host_sum += float(np.prod(x[list(e)]))
+    return TransportResult(vector=out, case=case, scale=scale, host_contribution=host_sum)
+
+
 @dataclass(frozen=True)
 class RelocationRecord:
     status: str  # pass | violation | inconclusive | precondition-failed
@@ -206,42 +249,40 @@ def verify_relocation(
 ) -> RelocationRecord:
     """Check that moving the branch toward the heavier endpoint never raises
     the least eigenvalue, along with the transported-vector bound that
-    drives the argument."""
-    return _verify_relocation(g0, v1, v2, h, cfg, tolerance)[0]
+    drives the argument.
 
-
-def _verify_relocation(
-    g0: Hypergraph,
-    v1: int,
-    v2: int,
-    h: RootedHypergraph,
-    cfg: SolverConfig,
-    tolerance: float,
-    after: EigenResult | None = None,
-) -> tuple[RelocationRecord, EigenResult]:
-    """``verify_relocation``, with the after-graph's solve passed in when the
-    caller already has it; also returns the before-graph's solve."""
-    relo = relocate(g0, v1, v2, h)
-    before = least_h_eigenvalue(relo.before, cfg)
-    base = dict(v1=v1, v2=v2, n=relo.before.n, m=relo.before.m)
-    if not before.converged:
-        return RelocationRecord(status="inconclusive", detail="before-graph solve did not converge", **base), before
-    x = before.vector
-    xv1, xv2 = float(x[v1]), float(x[v2])
-    if abs(xv1) < abs(xv2):
+    The branch moves from v2 to v1 when the before-graph's least eigenvector
+    has |x[v1]| >= |x[v2]|.  Otherwise the move from v1 to v2 is checked
+    instead; its after-graph is the graph just solved, so that solve is
+    reused.  The record is precondition-failed only when both orientations
+    fail, and is then the swapped one's."""
+    after = None
+    for a, b in ((v1, v2), (v2, v1)):
+        relo = relocate(g0, a, b, h)
+        before = least_h_eigenvalue(relo.before, cfg)
+        base = dict(v1=relo.v1, v2=relo.v2, n=relo.before.n, m=relo.before.m)
+        if not before.converged:
+            return RelocationRecord(status="inconclusive", detail="before-graph solve did not converge", **base)
+        x = before.vector
+        xv1, xv2 = float(x[relo.v1]), float(x[relo.v2])
+        if abs(xv1) >= abs(xv2):
+            break
+        # the swapped after-graph is this before-graph, edge for edge
+        after = before
+    else:
         return RelocationRecord(
             status="precondition-failed",
             detail="|x[v1]| < |x[v2]| for the computed eigenvector",
             x_v1=xv1,
             x_v2=xv2,
             **base,
-        ), before
+        )
     tr = transport_vector(x, relo)
     carried = rayleigh(relo.after, tr.vector) / knorm(tr.vector, relo.after.k) ** relo.after.k
     if after is None:
         after = least_h_eigenvalue(relo.after, cfg)
     if not after.converged:
-        return RelocationRecord(status="inconclusive", detail="after-graph solve did not converge", **base), before
+        return RelocationRecord(status="inconclusive", detail="after-graph solve did not converge", **base)
     ok = (
         after.eigenvalue <= before.eigenvalue + tolerance
         and carried <= before.eigenvalue + tolerance
@@ -257,7 +298,26 @@ def _verify_relocation(
         x_v1=xv1,
         x_v2=xv2,
         **base,
-    ), before
+    )
+
+
+def branch_contribution(g: Hypergraph, x, branch_edges, root: int) -> float:
+    """Sum of the full vertex products x^e over branch edges through root.
+
+    For a first eigenvector of a graph glued from a host and a branch this
+    quantity is nonpositive; tests rely on that sign.
+    """
+    x = _as_vector(g, x)
+    edge_set = set(g.edges)
+    total = 0.0
+    for e in branch_edges:
+        t = tuple(sorted(int(v) for v in e))
+        if t not in edge_set:
+            raise ValueError(f"{t} is not an edge of the graph")
+        if root not in t:
+            raise ValueError(f"edge {t} does not contain the root {root}")
+        total += float(np.prod(x[list(t)]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -388,7 +448,7 @@ def random_connected_hypergraph(rng: np.random.Generator, n: int, extra_edges: i
 
 def random_rooted_hypertree(rng: np.random.Generator, m: int, k: int) -> RootedHypergraph:
     """Random hypertree grown by pendant attachment, with a random root."""
-    g = Hypergraph(k, k, (tuple(range(k)),))
+    g = hyperstar(1, k).graph
     for _ in range(m - 1):
         g = _attach_pendant_edge(g, int(rng.integers(g.n)))
     return RootedHypergraph(g, int(rng.integers(g.n)))
@@ -409,10 +469,10 @@ def relocation_campaign(
     cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> list[RelocationRecord]:
-    """Seeded random relocation instances, all satisfying the eigenvector
-    precondition; orientations that fail it are swapped, instances failing
-    both ways are redrawn.  A record that finds no instance within
-    RELOCATION_DRAWS draws is reported inconclusive."""
+    """Seeded random relocation instances, each checked by
+    ``verify_relocation`` in the orientation the eigenvector precondition
+    allows; instances failing it both ways are redrawn.  A record that finds
+    no instance within RELOCATION_DRAWS draws is reported inconclusive."""
     rng = np.random.default_rng(seed)
     records: list[RelocationRecord] = []
     while len(records) < trials:
@@ -423,11 +483,7 @@ def relocation_campaign(
             g0 = random_connected_hypergraph(rng, n0, int(rng.integers(0, 3)), CAMPAIGN_K)
             h = random_rooted_hypertree(rng, branch_m, CAMPAIGN_K)
             v1, v2 = (int(v) for v in rng.choice(n0, size=2, replace=False))
-            rec, before = _verify_relocation(g0, v1, v2, h, cfg, tolerance)
-            if rec.status == "precondition-failed":
-                # the swapped after-graph is this before-graph, edge for
-                # edge, so its solve is reused
-                rec, _ = _verify_relocation(g0, v2, v1, h, cfg, tolerance, after=before)
+            rec = verify_relocation(g0, v1, v2, h, cfg, tolerance)
             if rec.status != "precondition-failed":
                 break
         else:
@@ -480,7 +536,7 @@ def family_from_spec(text: str) -> tuple[str, list[Hypergraph], list[Hypergraph]
         m = params["m"]
         parts = base_text.split(":")
         if parts[0] == "edge" and len(parts) == 2:
-            g0 = Hypergraph(int(parts[1]), int(parts[1]), (tuple(range(int(parts[1]))),))
+            g0 = hyperstar(1, int(parts[1])).graph
         elif parts[0] == "complete" and len(parts) == 3:
             g0 = complete_hypergraph(int(parts[1]), int(parts[2]))
         elif parts[0] == "cycle" and len(parts) == 3:

@@ -23,6 +23,7 @@ from . import __version__
 from . import hypergraph as hg
 from .constructions import blowup_power, complete_hypergraph, hyperstar, kth_power_of_graph
 from .spectral import (
+    EIGENVALUE_TOLERANCE,
     SolverConfig,
     UnsupportedUniformityError,
     least_h_eigenvalue,
@@ -288,9 +289,10 @@ def _finite_nonnegative(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--restarts", type=int, default=32, help="descent restarts")
-    parser.add_argument("--max-iters", type=int, default=2000, help="iteration cap per restart")
+    defaults = SolverConfig()
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="seed for all randomness")
+    parser.add_argument("--restarts", type=int, default=defaults.restarts, help="descent restarts")
+    parser.add_argument("--max-iters", type=int, default=defaults.max_iters, help="iteration cap per restart")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--out", help="write output to this path")
 
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="family spec, e.g. hypertrees:m=3,k=4 or Tm:complete:5:4,m=2")
     p.add_argument("--trials", type=_at_least_one, help="instance count for randomized suites")
     p.add_argument(
-        "--tolerance", type=_finite_nonnegative, default=1e-6, help="eigenvalue comparison tolerance"
+        "--tolerance", type=_finite_nonnegative, default=EIGENVALUE_TOLERANCE, help="eigenvalue comparison tolerance"
     )
     p.add_argument("--csv", help="also write an eigenvalue table to this path")
     _add_common(p)

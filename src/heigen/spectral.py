@@ -76,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import Hypergraph, find_odd_bipartition, is_connected
-from .constructions import Relocation
 
 RESIDUAL_TOLERANCE = 1e-8
 EIGENVALUE_TOLERANCE = 1e-6
@@ -108,6 +107,9 @@ NEWTON_FLOOR = 64 * np.finfo(np.float64).eps
 # below HANDOVER_GAP of hi.
 HANDOVER_RATE = 0.5
 HANDOVER_GAP = 0.1
+# Both stop once the gap hi - lo is below this share of max(1, hi): the
+# bracket on rho + 1 is then closed to rounding.
+BRACKET_TOLERANCE = 1e-13
 # Best sampled starts brute_force_min descends from; 8 missed the minimum.
 ORACLE_STARTS = 16
 
@@ -620,7 +622,7 @@ def _perron(kernel: _Kernel, max_iters: int) -> tuple[float, np.ndarray, float, 
     for iterations in range(1, max_iters + 1):
         lo, hi, y = _bracket(kernel, x)
         x = _normalized(y ** (1.0 / (k - 1)), k)
-        if hi - lo < 1e-13 * max(1.0, hi):
+        if hi - lo < BRACKET_TOLERANCE * max(1.0, hi):
             break
         if HANDOVER_GAP * hi > hi - lo > HANDOVER_RATE * gap:
             x, iterations = _newton_noda(kernel, x, iterations, max_iters)
@@ -657,7 +659,7 @@ def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int
     failure ends the steps."""
     k = kernel.k
     lo, hi, _ = _bracket(kernel, x)
-    while iterations < max_iters and hi - lo >= 1e-13 * max(1.0, hi):
+    while iterations < max_iters and hi - lo >= BRACKET_TOLERANCE * max(1.0, hi):
         lam, gap = hi - 1.0, hi - lo
         xp = _ipow(x, k - 1)
         scale = 1.0 / np.sqrt((k - 1) * lam * (_ipow(x, k - 2) if k > 2 else 1.0))
@@ -724,67 +726,3 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
     starts = profiles[order] * (1 - 2 * bits[:, signs[order]]).T
     lam, x, res, iterations = _descend_batch(g, starts, refine_iters)
     return _result(lam, x, res, iterations, "descent")
-
-
-def branch_contribution(g: Hypergraph, x, branch_edges, root: int) -> float:
-    """Sum of the full vertex products x^e over branch edges through root.
-
-    For a first eigenvector of a graph glued from a host and a branch this
-    quantity is nonpositive; tests rely on that sign.
-    """
-    x = _as_vector(g, x)
-    edge_set = set(g.edges)
-    total = 0.0
-    for e in branch_edges:
-        t = tuple(sorted(int(v) for v in e))
-        if t not in edge_set:
-            raise ValueError(f"{t} is not an edge of the graph")
-        if root not in t:
-            raise ValueError(f"edge {t} does not contain the root {root}")
-        total += float(np.prod(x[list(t)]))
-    return total
-
-
-@dataclass(frozen=True, eq=False)
-class TransportResult:
-    """A candidate vector carried across a relocation, with the bookkeeping
-    the comparison argument needs."""
-
-    vector: np.ndarray
-    case: str
-    scale: float
-    host_contribution: float
-
-
-def transport_vector(x, relo: Relocation) -> TransportResult:
-    """Carry a vector on the before-graph to the after-graph of a relocation.
-
-    With s = |x_{v1}/x_{v2}| (requires |x_{v1}| >= |x_{v2}|), the branch part
-    is scaled by s when x_{v2} > 0 ("positive"), copied unchanged when
-    x_{v2} = 0 ("zero"), and scaled by -s when x_{v2} < 0 ("negative"), after
-    flipping the whole vector to make x_{v1} nonnegative if needed (k is
-    even, so the flip changes nothing measurable).  Also reports the sum of
-    host-edge products at the detachment vertex.
-    """
-    g = relo.before
-    x = _as_vector(g, x)
-    xv1, xv2 = float(x[relo.v1]), float(x[relo.v2])
-    if abs(xv1) < abs(xv2):
-        raise ValueError(
-            f"transport requires |x[v1]| >= |x[v2]|, got |{xv1}| < |{xv2}|"
-        )
-    if xv1 < 0.0:
-        x = -x
-        xv1, xv2 = -xv1, -xv2
-    case = "positive" if xv2 > 0.0 else ("negative" if xv2 < 0.0 else "zero")
-    out = x.copy()
-    scale = 1.0
-    if case != "zero":
-        branch = list(relo.branch_vertices)
-        ratio = xv1 / xv2
-        scale = abs(ratio)
-        out[branch] = ratio * x[branch]
-    host_sum = 0.0
-    for e in relo.host.edge_star(relo.v2):
-        host_sum += float(np.prod(x[list(e)]))
-    return TransportResult(vector=out, case=case, scale=scale, host_contribution=host_sum)

@@ -317,9 +317,9 @@ def test_campaigns_smoke():
 
 
 def test_swapped_relocation_reuses_the_first_solve(monkeypatch):
-    """When the campaign swaps the orientation, the swapped after-graph is
-    the first before-graph, so it is solved once, and the record is the one
-    the public check gives for the swapped orientation."""
+    """When the verifier swaps the orientation, the swapped after-graph is
+    the first before-graph, so it is solved once; the record is the one the
+    public check gives for the first orientation, and for the swapped one."""
     relocations, solves = [], []
     real_relocate, real_solve = analysis.relocate, analysis.least_h_eigenvalue
 
@@ -338,6 +338,9 @@ def test_swapped_relocation_reuses_the_first_solve(monkeypatch):
     assert swapped == (g0, v2, v1, h) and rec.status == "pass"
     # the first before-graph and the swapped one; no third solve
     assert len(solves) == 2
+    solves.clear()
+    assert verify_relocation(g0, v1, v2, h, FAST) == rec
+    assert len(solves) == 2
     monkeypatch.undo()
     assert rec == verify_relocation(g0, v2, v1, h, FAST)
 
@@ -347,15 +350,15 @@ def test_relocation_campaign_is_bounded(monkeypatch):
     inconclusive after RELOCATION_DRAWS draws instead of looping forever."""
     calls = []
 
-    def always_fails(g0, v1, v2, h, cfg, tolerance, after=None):
+    def always_fails(g0, v1, v2, h, cfg, tolerance):
         calls.append((v1, v2))
-        return RelocationRecord(status="precondition-failed", v1=v1, v2=v2, n=g0.n, m=g0.m), None
+        return RelocationRecord(status="precondition-failed", v1=v2, v2=v1, n=g0.n, m=g0.m)
 
-    monkeypatch.setattr(analysis, "_verify_relocation", always_fails)
+    monkeypatch.setattr(analysis, "verify_relocation", always_fails)
     recs = relocation_campaign(trials=2, seed=0, cfg=FAST)
     assert [r.status for r in recs] == ["inconclusive", "inconclusive"]
     assert "precondition failed both ways" in recs[0].detail
-    assert len(calls) == 2 * 2 * RELOCATION_DRAWS
+    assert len(calls) == 2 * RELOCATION_DRAWS
 
 
 def test_family_from_spec():

@@ -13,7 +13,7 @@ from heigen.analysis import CoalescenceRecord, IdentityRecord, RelocationRecord
 from heigen.canon import SearchBudgetExceeded
 from heigen.cli import main
 from heigen.hypergraph import is_hypertree
-from heigen.spectral import SolverConfig
+from heigen.spectral import EIGENVALUE_TOLERANCE, SolverConfig
 
 
 def run(*argv):
@@ -261,6 +261,15 @@ def test_misplaced_verify_flags_are_usage_errors(monkeypatch, capsys, argv):
     assert asked == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --")
+
+
+def test_solver_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    for argv in (["lambda-min", "g.json"], ["rho", "g.json"], ["verify", "relocation"]):
+        args = parser.parse_args(argv)
+        solver = {"seed": args.seed, "restarts": args.restarts, "max_iters": args.max_iters}
+        assert solver == dataclasses.asdict(SolverConfig())
+    assert args.tolerance == EIGENVALUE_TOLERANCE
 
 
 def test_trials_default_per_suite(monkeypatch):

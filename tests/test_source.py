@@ -103,3 +103,43 @@ def h(kernel, x):
     return inner
 """
     assert _callers(ast.parse(source), "_polish") == ["f", "g", "h", "inner"]
+
+
+def _package_imports(tree):
+    """The heigen modules a module imports, relative or absolute, as
+    written: ``.hypergraph``, ``heigen.canon``; ``from . import x`` gives
+    ``.x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.level or base.split(".")[0] == "heigen":
+                found.update([base] if node.module else [base + a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "heigen")
+    return found
+
+
+def test_spectral_imports_only_the_graph_type():
+    """The solver module holds solvers only; the relocation bookkeeping that
+    needs ``constructions`` lives in ``analysis``."""
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) == {".hypergraph"}
+
+
+def test_import_guard_catches_each_form():
+    source = """
+import numpy as np
+from dataclasses import dataclass
+from .hypergraph import Hypergraph
+from .constructions import Relocation
+from . import canon
+import heigen.analysis
+from heigen.cli import main
+
+def f():
+    from .canon import canonical_form
+"""
+    assert _package_imports(ast.parse(source)) == {
+        ".hypergraph", ".constructions", ".canon", "heigen.analysis", "heigen.cli",
+    }
