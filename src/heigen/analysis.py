@@ -11,6 +11,7 @@ non-convergent solves poison a record to inconclusive, never to pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,10 +28,15 @@ from .constructions import (
 )
 from .canon import are_isomorphic, canonical_form
 from .spectral import (
+    CERTIFY_TOLERANCE,
     EIGENVALUE_TOLERANCE,
+    EigenResult,
     SolverConfig,
     _as_vector,
-    brute_force_min,
+    _fast_path,
+    _oracle_starts,
+    _restart_starts,
+    descend,
     knorm,
     least_h_eigenvalue,
     rayleigh,
@@ -129,7 +135,7 @@ class SearchReport:
 
 
 # find_minimizer's oracle cross-check: the most vertices a member may have,
-# and the magnitude profiles brute_force_min samples.
+# and the magnitude profiles brute_force_min's sign scoring samples.
 ORACLE_MAX_N = 10
 ORACLE_SAMPLES = 256
 
@@ -142,36 +148,51 @@ def find_minimizer(
 ) -> SearchReport:
     """Least eigenvalue of every member, with the minimizing members marked.
 
-    Members with at most ``ORACLE_MAX_N`` vertices are cross-checked against
-    the brute-force oracle; the gap is recorded per entry.  Ties within
-    tolerance are reported as multiple minimizers, never broken.
+    Members with an odd bipartition take ``least_h_eigenvalue``'s power
+    path.  A power result with residual at most ``CERTIFY_TOLERANCE`` is
+    exact (lambda_min = -rho), so it gets no oracle and a gap of None.
+    Every other member with at most ``ORACLE_MAX_N`` vertices is
+    cross-checked against ``brute_force_min``'s oracle, and the gap is
+    recorded per entry.  The descents of the other members and the oracles
+    run as one grouped descent (see ``descend``), with the bits of their
+    lone solves.  Ties within tolerance are reported as multiple
+    minimizers, never broken.
     """
     family = list(family)
     if not family:
         raise ValueError("family must be nonempty")
-    entries = []
-    for g in family:
-        r = least_h_eigenvalue(g, cfg)
-        gap = None
-        if g.n <= ORACLE_MAX_N:
-            o = brute_force_min(g, ORACLE_SAMPLES, cfg.max_iters, cfg.seed)
-            gap = abs(r.eigenvalue - o.eigenvalue)
-        entries.append(
-            SearchEntry(
-                graph=g,
-                eigenvalue=r.eigenvalue,
-                residual=r.residual,
-                converged=r.converged,
-                oracle_gap=gap,
-            )
+    solved: list[EigenResult | None] = [_fast_path(g, cfg) for g in family]
+    jobs, slots = [], []
+    for i, (g, r) in enumerate(zip(family, solved)):
+        if r is None:
+            jobs.append((g, _restart_starts(g, cfg)))
+            slots.append((i, False))
+        if g.n <= ORACLE_MAX_N and (r is None or r.residual > CERTIFY_TOLERANCE):
+            jobs.append((g, _oracle_starts(g, ORACLE_SAMPLES, cfg.seed)))
+            slots.append((i, True))
+    oracle = {}
+    for (i, is_oracle), r in zip(slots, descend(jobs, cfg.max_iters)):
+        if is_oracle:
+            oracle[i] = r.eigenvalue
+        else:
+            solved[i] = r
+    entries = tuple(
+        SearchEntry(
+            graph=g,
+            eigenvalue=r.eigenvalue,
+            residual=r.residual,
+            converged=r.converged,
+            oracle_gap=abs(r.eigenvalue - oracle[i]) if i in oracle else None,
         )
+        for i, (g, r) in enumerate(zip(family, solved))
+    )
     lo = min(e.eigenvalue for e in entries)
     mins = tuple(i for i, e in enumerate(entries) if e.eigenvalue <= lo + tolerance)
     return SearchReport(
         family=family_name or f"family of {len(family)}",
         tolerance=tolerance,
         config=cfg,
-        entries=tuple(entries),
+        entries=entries,
         minimizer_indices=mins,
     )
 
@@ -391,9 +412,25 @@ def verify_odd_bipartite_identity(
     lambda_min >= -rho always holds, and descent only gives an upper bound
     on lambda_min.  So with a witness, a gap above tolerance means descent
     missed the minimum: inconclusive, not a violation."""
-    bip = find_odd_bipartition(g)
     # descent, not the fast path, which would return -rho by construction
-    lo = least_h_eigenvalue(g, cfg, method="descent")
+    return _identity_record(g, least_h_eigenvalue(g, cfg, method="descent"), cfg, tolerance)
+
+
+def verify_odd_bipartite_identities(
+    graphs: list[Hypergraph],
+    cfg: SolverConfig = SolverConfig(),
+    tolerance: float = EIGENVALUE_TOLERANCE,
+) -> list[IdentityRecord]:
+    """``verify_odd_bipartite_identity`` of each graph, with the descents of
+    graphs of one shape run as one grouped descent (see ``descend``): every
+    record is the one-graph call's."""
+    lows = descend([(g, _restart_starts(g, cfg)) for g in graphs], cfg.max_iters)
+    return [_identity_record(g, lo, cfg, tolerance) for g, lo in zip(graphs, lows)]
+
+
+def _identity_record(g: Hypergraph, lo: EigenResult, cfg: SolverConfig, tolerance: float) -> IdentityRecord:
+    """The identity record of g from its descent result lo."""
+    bip = find_odd_bipartition(g)
     hi = spectral_radius(g, cfg)
     base = dict(n=g.n, m=g.m, has_witness=bip is not None)
     if not (lo.converged and hi.converged):
@@ -437,7 +474,8 @@ def random_connected_hypergraph(rng: np.random.Generator, n: int, extra_edges: i
         e = tuple(sorted(int(v) for v in (*new_part, *old_part)))
         edges.add(e)
         covered.update(e)
-    want = len(edges) + extra_edges
+    # draws for more edges than the comb(n, k) distinct ones would be wasted
+    want = min(len(edges) + extra_edges, math.comb(n, k))
     for _ in range(1000):
         if len(edges) >= want:
             break

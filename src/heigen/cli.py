@@ -36,7 +36,7 @@ from .analysis import (
     find_minimizer,
     identity_corpus,
     relocation_campaign,
-    verify_odd_bipartite_identity,
+    verify_odd_bipartite_identities,
 )
 
 
@@ -170,7 +170,7 @@ def _trials(args, default: int) -> int:
 
 def _identity_records(args, cfg: SolverConfig) -> list:
     graphs = family_from_spec(args.family)[1] if args.family else identity_corpus()
-    return [verify_odd_bipartite_identity(g, cfg, args.tolerance) for g in graphs]
+    return verify_odd_bipartite_identities(graphs, cfg, args.tolerance)
 
 
 # Suites that report one record per instance: the campaign, the record

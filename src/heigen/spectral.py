@@ -63,10 +63,16 @@ products are block multiplies, and the scatter onto vertices is one
 bincount.  Descent keeps its live rows' state contiguous, compacted only
 when a row freezes, and tries the halvings of the rows still backtracking
 stacked in one form call; each row takes exactly the steps it would take
-alone.  Integer powers are repeated multiplications, and inner products are
-elementwise sums.  Contraction, descent, polish, the Newton finish, power
-iteration and the Newton-Noda steps make no BLAS call, so their results do
-not depend on the BLAS build or its thread count.
+alone.  One descent runs several start groups at once (``descend``): a
+group is one graph's starts, every graph in the call has the same
+(n, m, k), and each row reads its own graph's edges.  A group keeps its
+own incumbent, checks, stop and iteration count, and leaves the batch as a
+frozen row does, so it returns the bits of its lone solve.  A single solve
+is the one-group case.  Integer powers are repeated multiplications, and
+inner products are elementwise sums.  Contraction, descent, polish, the
+Newton finish, power iteration and the Newton-Noda steps make no BLAS
+call, so their results do not depend on the BLAS build or its thread
+count.
 """
 
 from __future__ import annotations
@@ -193,22 +199,43 @@ class _Kernel:
     receives its terms in (position, edge) order, as the row-major layout
     gave them, so the sums are the same bits.
 
+    A kernel may hold several graphs of one shape (n, m, k).  Then a batch
+    names the graph of each row by ``owner``, the row's graph index, and
+    each row reads its own graph's edge columns.  Without ``owner``, and in
+    a kernel of one graph, every row reads the first graph's, as
+    ``pair_products`` and ``hessian_apply`` do.  Each bin still receives
+    only its own row's terms, so a row's contraction has the bits of a
+    batch of that row alone.
+
     A kernel serves batches of up to ``rows`` rows.  It keeps the index of
-    the batch size it last applied to: descent applies to all its live
-    rows, whose count changes only when a row freezes.  A batch of another
-    size builds its index for the call.  The gather and product buffers
-    are reused across calls.
+    the batch it last applied to, keyed by its size and, with several
+    graphs, its ``owner`` array: descent applies to all its live rows,
+    which change only when a row freezes or a group leaves.  Any other
+    batch builds its index for the call.  The gather and product buffers are reused across calls.
     """
 
-    def __init__(self, g: Hypergraph, rows: int = 1):
+    def __init__(self, g: Hypergraph | list[Hypergraph], rows: int = 1):
+        graphs = g if isinstance(g, list) else [g]
+        g = graphs[0]
         self.n, self.k, self.m, self.rows = g.n, g.k, g.m, rows
-        self.cols = np.ascontiguousarray(g.edge_array.T)
-        self._index = self._flat_index(rows)
+        # (k, graphs, m): the edge columns of each graph
+        self._cols = np.stack([h.edge_array.T for h in graphs], axis=1)
+        self.cols = np.ascontiguousarray(self._cols[:, 0])
+        self._grouped = len(graphs) > 1
+        self._owner = None
+        self._index = self._flat_index(rows, None)
         self._ex = np.empty(g.k * rows * g.m)
         self._contrib = np.empty(g.k * rows * g.m)
 
-    def _flat_index(self, rows: int) -> np.ndarray:
-        return (np.arange(rows)[:, None] * self.n + self.cols[:, None, :]).reshape(-1)
+    def _flat_index(self, rows: int, owner: np.ndarray | None) -> np.ndarray:
+        cols = self._cols[:, owner] if self._grouped and owner is not None else self._cols[:, :1]
+        return (np.arange(rows)[:, None] * self.n + cols).reshape(-1)
+
+    def _kept(self, rows: int, owner: np.ndarray | None) -> bool:
+        """Whether the kept index is the one a batch of this size and owner
+        needs.  An owner array is matched by identity: descent replaces its
+        live rows' owner array whenever they change, and never writes to it."""
+        return (owner is self._owner or not self._grouped) and self._index.size == self.cols.size * rows
 
     def _gather(self, xs: np.ndarray, index: np.ndarray) -> np.ndarray:
         # every index is an entry of xs; mode="clip" only stops take from
@@ -217,21 +244,22 @@ class _Kernel:
         xs.reshape(-1).take(index, out=ex, mode="clip")
         return ex.reshape(self.k, len(xs), self.m)
 
-    def form(self, xs: np.ndarray) -> np.ndarray:
+    def form(self, xs: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         """The degree-k form of each row."""
-        index = self._index if self._index.size == self.cols.size * len(xs) else self._flat_index(len(xs))
+        rows = len(xs)
+        index = self._index if self._kept(rows, owner) else self._flat_index(rows, owner)
         ex = self._gather(xs, index)
         prod = ex[0] * ex[1]
         for j in range(2, self.k):
             prod *= ex[j]
         return self.k * prod.sum(axis=1)
 
-    def apply(self, xs: np.ndarray) -> np.ndarray:
+    def apply(self, xs: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         """(A(G) x^{k-1}) of each row: per edge and position, the product of
         the other k-1 entries, from prefix and suffix products."""
         k, rows = self.k, len(xs)
-        if self._index.size != self.cols.size * rows:
-            self._index = self._flat_index(rows)
+        if not self._kept(rows, owner):
+            self._index, self._owner = self._flat_index(rows, owner), owner
         ex = self._gather(xs, self._index)
         contrib = self._contrib[: self._index.size].reshape(k, rows, self.m)
         contrib[1] = ex[0]
@@ -290,10 +318,13 @@ def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
     return xs / norms[:, None]
 
 
-def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float, np.ndarray, float, int]:
+def _descend_batch(
+    graphs: list[Hypergraph], starts: list[np.ndarray], max_iters: int
+) -> list[tuple[float, np.ndarray, float, int]]:
     """Projected normalized-gradient descent on the unit k-norm sphere,
-    run on a batch of starts at once.  Every row follows exactly its own
-    trajectory; rows freeze once their projected gradient drops below
+    run on several start groups at once.  A group is one graph's starts,
+    and every graph has the same (n, m, k).  Every row follows exactly its
+    own trajectory; rows freeze once their projected gradient drops below
     tolerance or their line search stops making progress.
 
     A row's first trial step is its Barzilai-Borwein step, BB1 and BB2 in
@@ -302,32 +333,53 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
     passes Armijo against the largest of the row's last
     ``NONMONOTONE_MEMORY`` accepted form values.
 
-    The live rows' state (x, form value, recent values, step, last x and
-    projected gradient) is kept contiguous and compacted only when a row
-    freezes; ``xs`` and ``fs`` hold every row's latest point and value once
-    written back, at a freeze, a check and the end.  After the first trial
-    of every row, the rows still searching try their next ``HALVINGS``
-    halvings stacked in one form call, within the kernel's rows, and each
-    takes its first passing trial: the same step the one-at-a-time search
-    accepts.
+    Each group keeps its own incumbent, its own checks and its own
+    iteration count.  It leaves the batch, as a frozen row does, once a
+    check certifies its incumbent, or once its last live row freezes or
+    runs out of trials.  So each group's result has the bits of a call
+    with that group alone.
 
-    Returns the polished eigenpair of the best row, as (lambda, vector,
-    residual), and the number of iterations run: fewer than ``max_iters``
-    when every row froze or a check certified the incumbent."""
-    k = g.k
-    xs = _normalized_rows(np.atleast_2d(np.asarray(x0, dtype=np.float64)), k)
-    kernel = _Kernel(g, len(xs))
-    fs = kernel.form(xs)
+    The live rows' state (x, form value, recent values, step, last x,
+    projected gradient and group) is kept contiguous and compacted only
+    when a row freezes or a group leaves; ``xs`` and ``fs`` hold every
+    row's latest point and value once written back, at a freeze, a check
+    and the end.  After the first trial of every row, the rows still
+    searching try their next ``HALVINGS`` halvings stacked in one form call,
+    within the kernel's rows, and each takes its first passing trial: the
+    same step the one-at-a-time search accepts.
+
+    Returns, per group, the polished eigenpair of its best row, as (lambda,
+    vector, residual), and the number of iterations the group ran: fewer
+    than ``max_iters`` when every row of the group froze or a check
+    certified its incumbent."""
+    k = graphs[0].k
+    bounds = np.cumsum([0] + [len(s) for s in starts])
+    xs = _normalized_rows(np.concatenate(starts).astype(np.float64, copy=False), k)
+    kernel = _Kernel(graphs, len(xs))
+    polishers = [_Kernel(g) for g in graphs]
+    # the group of each live row; replaced, never written, when rows leave
+    own = np.repeat(np.arange(len(graphs)), np.diff(bounds))
+    fs = kernel.form(xs, own)
     ids, x, f = np.arange(len(xs)), xs, fs
     recent = np.repeat(fs[:, None], NONMONOTONE_MEMORY, axis=1)
     steps = np.ones(len(xs))
     prev_x, prev_g = np.empty_like(xs), np.empty_like(xs)
     halvings = 0.5 ** np.arange(1, 60)  # exact, as repeated halving is
-    check, certified = FIRST_CHECK, None
+    check, certified = FIRST_CHECK, [None] * len(graphs)
+    alive, ended, results = np.ones(len(graphs), dtype=bool), [max_iters] * len(graphs), [None] * len(graphs)
     iterations = 0
+
+    def leave_emptied() -> None:
+        for j in np.flatnonzero(alive & (np.bincount(own, minlength=len(graphs)) == 0)):
+            alive[j], ended[j] = False, iterations
+
+    def best(j: int) -> np.ndarray:
+        # a copy: a row of xs is overwritten as descent goes on
+        return xs[bounds[j] + int(np.argmin(fs[bounds[j] : bounds[j + 1]]))].copy()
+
     while iterations < max_iters and len(ids):
         iterations += 1
-        grad = kernel.apply(x)
+        grad = kernel.apply(x, own)
         grad *= k
         normal = _ipow(x, k - 1)  # gradient of the constraint, up to the factor k
         coef = (grad * normal).sum(axis=1) / (normal * normal).sum(axis=1)
@@ -336,9 +388,10 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
         if frozen.any():
             live = ~frozen
             xs[ids], fs[ids] = x, f
-            ids, x, f, recent, steps, prev_x, prev_g, gproj = (
-                a[live] for a in (ids, x, f, recent, steps, prev_x, prev_g, gproj)
+            ids, own, x, f, recent, steps, prev_x, prev_g, gproj = (
+                a[live] for a in (ids, own, x, f, recent, steps, prev_x, prev_g, gproj)
             )
+            leave_emptied()
             if not len(ids):
                 break  # every live row froze
         gnorm = np.sqrt((gproj * gproj).sum(axis=1))
@@ -354,19 +407,19 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
         reference = recent.max(axis=1)
         # the first trial of every row; xt and ft become the rows' new state
         xt = _normalized_rows(x + t[:, None] * d, k)
-        ft = kernel.form(xt)
+        ft = kernel.form(xt, own)
         searching = (~(ft <= reference - 1e-4 * t * gnorm)).nonzero()[0]
         tried = 1
         while len(searching) and tried < 60:
             s = searching
             stack = min(HALVINGS, kernel.rows // len(s), 60 - tried)
             ts = t[s, None] * halvings[tried - 1 : tried - 1 + stack]
-            trials = _normalized_rows((x[s, None, :] + ts[:, :, None] * d[s, None, :]).reshape(-1, g.n), k)
-            fts = kernel.form(trials).reshape(len(s), stack)
+            trials = _normalized_rows((x[s, None, :] + ts[:, :, None] * d[s, None, :]).reshape(-1, kernel.n), k)
+            fts = kernel.form(trials, own[s].repeat(stack)).reshape(len(s), stack)
             ok = fts <= reference[s, None] - 1e-4 * ts * gnorm[s, None]
             hit, first = ok.any(axis=1), ok.argmax(axis=1)
             rows, first = s[hit], first[hit]
-            xt[rows] = trials.reshape(len(s), stack, g.n)[hit, first]
+            xt[rows] = trials.reshape(len(s), stack, kernel.n)[hit, first]
             ft[rows], t[rows] = fts[hit, first], ts[hit, first]
             searching, tried = s[~hit], tried + stack
         if len(searching):
@@ -376,23 +429,31 @@ def _descend_batch(g: Hypergraph, x0: np.ndarray, max_iters: int) -> tuple[float
             xs[ids], fs[ids] = xt, ft
             live = np.ones(len(ids), dtype=bool)
             live[searching] = False
-            ids, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, x, gproj, xt, ft, t, recent))
+            ids, own, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, own, x, gproj, xt, ft, t, recent))
+            leave_emptied()
         recent[:, iterations % NONMONOTONE_MEMORY] = ft
         prev_x, prev_g, x, f, steps = x, gproj, xt, ft, t
         if iterations == check:
             check *= 2
             xs[ids], fs[ids] = x, f
-            # a copy: a row of xs is overwritten as descent goes on
-            lam, vec, res = _polish(kernel, xs[int(np.argmin(fs))].copy())
-            if res > CERTIFY_TOLERANCE:
-                certified = None
-            elif certified is not None and abs(lam - certified) <= CERTIFY_TOLERANCE * abs(certified):
-                return lam, vec, res, iterations
-            else:
-                certified = lam
+            for j in np.flatnonzero(alive):
+                lam, vec, res = _polish(polishers[j], best(j))
+                if res > CERTIFY_TOLERANCE:
+                    certified[j] = None
+                elif certified[j] is not None and abs(lam - certified[j]) <= CERTIFY_TOLERANCE * abs(certified[j]):
+                    results[j], alive[j] = (lam, vec, res, iterations), False
+                else:
+                    certified[j] = lam
+            live = alive[own]
+            if not live.all():
+                ids, own, x, f, recent, steps, prev_x, prev_g = (
+                    a[live] for a in (ids, own, x, f, recent, steps, prev_x, prev_g)
+                )
     xs[ids], fs[ids] = x, f
-    lam, vec, res = _polish(kernel, xs[int(np.argmin(fs))].copy())
-    return lam, vec, res, iterations
+    for j, done in enumerate(results):
+        if done is None:
+            results[j] = (*_polish(polishers[j], best(j)), ended[j])
+    return results
 
 
 def _eigen_terms(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -563,20 +624,50 @@ def least_h_eigenvalue(g: Hypergraph, cfg: SolverConfig = SolverConfig(), method
     """
     if method not in ("auto", "descent"):
         raise ValueError(f"unknown method {method!r}, expected 'auto' or 'descent'")
+    fast = _fast_path(g, cfg) if method == "auto" else None
+    if fast is not None:
+        return fast
+    return descend([(g, _restart_starts(g, cfg))], cfg.max_iters)[0]
+
+
+def _fast_path(g: Hypergraph, cfg: SolverConfig) -> EigenResult | None:
+    """``least_h_eigenvalue``'s power path: -rho and the Perron vector
+    signed by an odd bipartition of a connected g; None without a witness."""
     _check_solvable(g)
-    bip = find_odd_bipartition(g) if method == "auto" and is_connected(g) else None
-    if bip is not None:
-        kernel = _Kernel(g)
-        _, perron, _, iterations = _perron(kernel, cfg.max_iters)
-        x = np.where(np.array(bip.side) == 1, -perron, perron)
-        # each edge has an odd number of flipped entries, so lam = -rho
-        lam, _, res = _eigen_terms(kernel, x)
-        return _result(lam, x, res, iterations, "power")
-    rng = np.random.default_rng(cfg.seed)
-    starts = rng.uniform(-1.0, 1.0, (cfg.restarts, g.n))
+    bip = find_odd_bipartition(g) if is_connected(g) else None
+    if bip is None:
+        return None
+    kernel = _Kernel(g)
+    _, perron, _, iterations = _perron(kernel, cfg.max_iters)
+    x = np.where(np.array(bip.side) == 1, -perron, perron)
+    # each edge has an odd number of flipped entries, so lam = -rho
+    lam, _, res = _eigen_terms(kernel, x)
+    return _result(lam, x, res, iterations, "power")
+
+
+def _restart_starts(g: Hypergraph, cfg: SolverConfig) -> np.ndarray:
+    """``least_h_eigenvalue``'s descent starts: ``cfg.restarts`` seeded
+    uniform rows, with an all-zero row replaced by 0.5."""
+    starts = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (cfg.restarts, g.n))
     starts[~np.any(starts, axis=1)] = 0.5
-    lam, x, res, iterations = _descend_batch(g, starts, cfg.max_iters)
-    return _result(lam, x, res, iterations, "descent")
+    return starts
+
+
+def descend(jobs: list[tuple[Hypergraph, np.ndarray]], max_iters: int) -> list[EigenResult]:
+    """Descent from each job's starts, a job being (graph, starts).  The
+    jobs whose graphs share a shape (n, m, k) run as the start groups of
+    one ``_descend_batch`` call, and each result has the bits of a descent
+    of its job alone."""
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, (g, _) in enumerate(jobs):
+        _check_solvable(g)
+        shapes.setdefault((g.n, g.m, g.k), []).append(i)
+    results: list = [None] * len(jobs)
+    for members in shapes.values():
+        solved = _descend_batch([jobs[i][0] for i in members], [jobs[i][1] for i in members], max_iters)
+        for i, (lam, x, res, iterations) in zip(members, solved):
+            results[i] = _result(lam, x, res, iterations, "descent")
+    return results
 
 
 def spectral_radius(g: Hypergraph, cfg: SolverConfig = SolverConfig()) -> EigenResult:
@@ -687,7 +778,14 @@ def _newton_noda(kernel: _Kernel, x: np.ndarray, iterations: int, max_iters: int
 
 def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000, seed: int = 0) -> EigenResult:
     """Independent oracle: exhaustive sign patterns on sampled magnitude
-    profiles, best candidate polished by the same descent.
+    profiles, best candidates polished by the same descent (see
+    ``_oracle_starts``)."""
+    return descend([(g, _oracle_starts(g, samples, seed))], refine_iters)[0]
+
+
+def _oracle_starts(g: Hypergraph, samples: int, seed: int) -> np.ndarray:
+    """``brute_force_min``'s descent starts: the ``ORACLE_STARTS`` best
+    signed magnitude profiles.
 
     For each sampled magnitude profile the form is linear in the edge signs,
     so all 2^n sign choices are scored exactly in one matrix product.
@@ -723,6 +821,4 @@ def brute_force_min(g: Hypergraph, samples: int = 512, refine_iters: int = 2000,
     # descend from the several best starts; a single start can stall in a
     # local minimum even when the sampled value itself is the lowest
     order = np.argsort(best, kind="stable")[:ORACLE_STARTS]
-    starts = profiles[order] * (1 - 2 * bits[:, signs[order]]).T
-    lam, x, res, iterations = _descend_batch(g, starts, refine_iters)
-    return _result(lam, x, res, iterations, "descent")
+    return profiles[order] * (1 - 2 * bits[:, signs[order]]).T

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from heigen import (
     Hypergraph,
     SolverConfig,
+    brute_force_min,
     complete_hypergraph,
     cycle_blowup,
     enumerate_family,
@@ -17,6 +19,7 @@ from heigen import (
     find_minimizer,
     hyperstar,
     kth_power_of_graph,
+    least_h_eigenvalue,
     verify_coalescence_monotonicity,
     verify_odd_bipartite_identity,
     verify_relocation,
@@ -169,9 +172,62 @@ def test_find_minimizer_report_shape():
     assert d["schema"] == "heigen-report/1"
     assert d["family"] == "pair"
     assert len(d["entries"]) == 2
-    assert d["entries"][0]["oracle_gap"] is not None
+    # a hypertree takes the power path and certifies, so it gets no oracle
+    assert d["entries"][0]["oracle_gap"] is None
+    member = family_from_spec("Tm:cycle:3:4,m=1")[1]
+    gap = find_minimizer(member, FAST).entries[0].oracle_gap
+    assert isinstance(gap, float) and gap <= 1e-6
     with pytest.raises(ValueError):
         find_minimizer([], FAST)
+
+
+def _count_descents(monkeypatch) -> list:
+    """Record the groups of every grouped descent call."""
+    calls = []
+    descend = spectral._descend_batch
+
+    def counted(graphs, starts, max_iters):
+        calls.append(len(graphs))
+        return descend(graphs, starts, max_iters)
+
+    monkeypatch.setattr(spectral, "_descend_batch", counted)
+    return calls
+
+
+def test_find_minimizer_runs_one_grouped_descent(monkeypatch):
+    """The members of Tm:cycle:3:4,m=2 have one shape and no odd
+    bipartition, and more than ORACLE_MAX_N vertices: one call, one group
+    per member."""
+    calls = _count_descents(monkeypatch)
+    family = family_from_spec("Tm:cycle:3:4,m=2")[1]
+    report = find_minimizer(family)
+    assert calls == [len(family)]
+    assert all(e.oracle_gap is None for e in report.entries)
+
+
+def test_find_minimizer_skips_the_oracle_on_certified_power_results(monkeypatch):
+    """Hypertrees are odd-bipartite, so every member takes the power path
+    and certifies: no descent and no oracle run."""
+    calls = _count_descents(monkeypatch)
+    oracles = []
+    monkeypatch.setattr(analysis, "_oracle_starts", lambda *args: oracles.append(args))
+    report = find_minimizer(family_from_spec("hypertrees:m=3,k=4")[1])
+    assert calls == [] and oracles == []
+    assert all(e.residual <= spectral.CERTIFY_TOLERANCE and e.oracle_gap is None for e in report.entries)
+
+
+def test_find_minimizer_groups_the_oracle_with_its_member(monkeypatch):
+    """Tm:cycle:3:4,m=1 has one member, with 9 vertices: its descent and
+    its oracle run as two groups of one call, each with the bits of the
+    lone solve."""
+    calls = _count_descents(monkeypatch)
+    (g,) = family_from_spec("Tm:cycle:3:4,m=1")[1]
+    entry = find_minimizer([g], FAST).entries[0]
+    assert calls == [2]
+    lone = least_h_eigenvalue(g, FAST)
+    oracle = brute_force_min(g, analysis.ORACLE_SAMPLES, FAST.max_iters, FAST.seed)
+    assert (entry.eigenvalue, entry.residual) == (lone.eigenvalue, lone.residual)
+    assert entry.oracle_gap == abs(lone.eigenvalue - oracle.eigenvalue)
 
 
 def test_find_minimizer_reports_are_reproducible():
@@ -262,6 +318,17 @@ def test_identity_check_runs_descent(monkeypatch):
     assert len(calls) == 1
 
 
+def test_identity_suite_groups_descents_by_shape(monkeypatch):
+    """The suite runs one grouped descent per shape (n, m, k), and each
+    record is the one-graph check's."""
+    graphs = identity_corpus()
+    single = [asdict(verify_odd_bipartite_identity(g, FAST)) for g in graphs]
+    calls = _count_descents(monkeypatch)
+    grouped = [asdict(r) for r in analysis.verify_odd_bipartite_identities(graphs, FAST)]
+    assert grouped == single
+    assert sorted(calls) == sorted(Counter((g.n, g.m, g.k) for g in graphs).values())
+
+
 def test_identity_descent_above_minus_rho_is_no_violation():
     """With restarts=8, descent certifies lambda = -2.115023 on this
     odd-bipartite graph, whose least eigenvalue is -rho = -3.088073."""
@@ -305,6 +372,27 @@ def test_random_generators():
     rt = random_rooted_hypertree(rng, 3, 4)
     assert is_hypertree(rt.graph)
     assert 0 <= rt.root < rt.graph.n
+
+
+def test_random_graph_draws_no_edge_beyond_the_k_subsets():
+    """With n = k the covering edge is the only k-subset, so asking for
+    extra edges draws nothing more."""
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng, self.choices = np.random.default_rng(seed), 0
+
+        def choice(self, *args, **kwargs):
+            self.choices += 1
+            return self.rng.choice(*args, **kwargs)
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+    rng = CountingRng(0)
+    g = random_connected_hypergraph(rng, 4, 2, 4)
+    assert g.edges == ((0, 1, 2, 3),)
+    assert rng.choices == 1
 
 
 def test_campaigns_smoke():

@@ -255,7 +255,7 @@ def test_misplaced_verify_flags_are_usage_errors(monkeypatch, capsys, argv):
         asked.append(args)
         return []
 
-    for name in ("family_from_spec", "find_minimizer", "identity_corpus", "verify_odd_bipartite_identity"):
+    for name in ("family_from_spec", "find_minimizer", "identity_corpus", "verify_odd_bipartite_identities"):
         monkeypatch.setattr(cli, name, must_not_run)
     assert run("verify", *argv) == 2
     assert asked == []

@@ -49,7 +49,7 @@ def test_spectral_makes_no_blas_call():
     stay BLAS-free, so their results do not depend on the BLAS build or its
     thread count.  The one matrix product is the oracle's sign scoring."""
     tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
-    found = set(_blas_uses(tree)) - {("brute_force_min", "w @ edge_signs")}
+    found = set(_blas_uses(tree)) - {("_oracle_starts", "w @ edge_signs")}
     assert found == set()
 
 

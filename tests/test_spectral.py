@@ -239,6 +239,53 @@ def test_descent_results_are_pinned(graph, cfg, lam_hex, res_hex, iterations, co
     assert (res.iterations, res.converged) == (iterations, converged)
 
 
+def _bits(r):
+    return (r.eigenvalue.hex(), r.residual.hex(), r.iterations, r.converged, r.vector.tobytes())
+
+
+@pytest.mark.parametrize(
+    "restarts, max_iters, iterations",
+    [
+        # groups certify at the checks at 50 and 400, and freeze at 64 and 86
+        (1, 2000, (64, 50, 86, 50, 50, 400, 64, 50)),
+        (2, 300, (67, 50, 86, 50, 50, 300, 74, 50)),
+        (32, 2000, (100, 50, 50, 50, 50, 400, 100, 50)),
+        (33, 26, (26,) * 8),
+        (32, 25, (25,) * 8),
+        (33, 2, (2,) * 8),
+        (1, 1, (1,) * 8),
+    ],
+)
+def test_grouped_descent_matches_lone_solves(restarts, max_iters, iterations):
+    """Each member of Tm:cycle:3:4,m=2 and an oracle on its own graph run as
+    start groups of one descent; every group ends with the bits of its lone
+    solve, whether it certifies, freezes or reaches the cap."""
+    cfg = SolverConfig(restarts=restarts, max_iters=max_iters)
+    family = enumerate_family(cycle_blowup(3, 4), 2)
+    jobs = []
+    for g in family:
+        jobs += [(g, spectral._restart_starts(g, cfg)), (g, spectral._oracle_starts(g, 64, 0))]
+    grouped = spectral.descend(jobs, max_iters)
+    lone = []
+    for g in family:
+        lone += [least_h_eigenvalue(g, cfg, method="descent"), brute_force_min(g, 64, max_iters, 0)]
+    assert [_bits(r) for r in grouped] == [_bits(r) for r in lone]
+    assert tuple(r.iterations for r in grouped) == iterations
+
+
+def test_grouped_descent_group_that_runs_out_of_trials():
+    """On the path blowup with 50 classes, start 16 of the default seed
+    fails all 60 trial steps at iteration 1833.  Alone in its group it ends
+    there; among the 32 default starts its group runs to the cap."""
+    g = blowup_power([(i, i + 1) for i in range(49)], 4)
+    cfg = SolverConfig()
+    starts = spectral._restart_starts(g, cfg)
+    grouped = spectral.descend([(g, starts[16:17]), (g, starts)], cfg.max_iters)
+    lone = [spectral.descend([(g, starts[16:17])], cfg.max_iters)[0], least_h_eigenvalue(g, cfg, method="descent")]
+    assert [_bits(r) for r in grouped] == [_bits(r) for r in lone]
+    assert [r.iterations for r in grouped] == [1833, 2000]
+
+
 def random_graph_pairs(seed, n, extra):
     """A recursive random spanning tree plus ``extra`` distinct random chords."""
     rng = np.random.default_rng(seed)
