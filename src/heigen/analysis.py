@@ -406,14 +406,8 @@ def verify_odd_bipartite_identity(
     cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> IdentityRecord:
-    """With an odd bipartition the least eigenvalue must equal minus the
-    spectral radius; without one, connectedness forces a strict gap.
-
-    lambda_min >= -rho always holds, and descent only gives an upper bound
-    on lambda_min.  So with a witness, a gap above tolerance means descent
-    missed the minimum: inconclusive, not a violation."""
-    # descent, not the fast path, which would return -rho by construction
-    return _identity_record(g, least_h_eigenvalue(g, cfg, method="descent"), cfg, tolerance)
+    """``verify_odd_bipartite_identities`` of the one graph g."""
+    return verify_odd_bipartite_identities([g], cfg, tolerance)[0]
 
 
 def verify_odd_bipartite_identities(
@@ -421,9 +415,14 @@ def verify_odd_bipartite_identities(
     cfg: SolverConfig = SolverConfig(),
     tolerance: float = EIGENVALUE_TOLERANCE,
 ) -> list[IdentityRecord]:
-    """``verify_odd_bipartite_identity`` of each graph, with the descents of
-    graphs of one shape run as one grouped descent (see ``descend``): every
-    record is the one-graph call's."""
+    """With an odd bipartition the least eigenvalue must equal minus the
+    spectral radius; without one, connectedness forces a strict gap.
+
+    lambda_min >= -rho always holds, and lambda_min comes from descent (the
+    fast path gives -rho by construction), an upper bound.  So with a
+    witness, a gap above tolerance means descent missed the minimum:
+    inconclusive, not a violation.  Graphs of one shape share one grouped
+    descent (see ``descend``), whose results have the bits of lone solves."""
     lows = descend([(g, _restart_starts(g, cfg)) for g in graphs], cfg.max_iters)
     return [_identity_record(g, lo, cfg, tolerance) for g, lo in zip(graphs, lows)]
 

@@ -69,10 +69,9 @@ group is one graph's starts, every graph in the call has the same
 own incumbent, checks, stop and iteration count, and leaves the batch as a
 frozen row does, so it returns the bits of its lone solve.  A single solve
 is the one-group case.  Integer powers are repeated multiplications, and
-inner products are elementwise sums.  Contraction, descent, polish, the
-Newton finish, power iteration and the Newton-Noda steps make no BLAS
-call, so their results do not depend on the BLAS build or its thread
-count.
+inner products and the oracle's sign scores are elementwise sums.  No
+function here makes a BLAS call, so no result depends on the BLAS build
+or its thread count.
 """
 
 from __future__ import annotations
@@ -194,48 +193,49 @@ class _Kernel:
     A batch is gathered position-major, shape (k, rows, m), so each edge
     position is one contiguous (rows, m) block and the prefix and suffix
     products of ``apply`` run on whole blocks.  One flat index,
-    ``row * n + cols[p, e]`` in (p, row, e) order, serves both the gather (a
-    take from the flattened rows) and the scatter (one bincount).  Each bin
-    receives its terms in (position, edge) order, as the row-major layout
-    gave them, so the sums are the same bits.
+    ``row * n + cols[p, owner[row], e]`` in (p, row, e) order, serves both
+    the gather (a take from the flattened rows) and the scatter (one
+    bincount).  Each bin receives its terms in (position, edge) order, as
+    the row-major layout gave them, so the sums are the same bits.
 
-    A kernel may hold several graphs of one shape (n, m, k).  Then a batch
-    names the graph of each row by ``owner``, the row's graph index, and
-    each row reads its own graph's edge columns.  Without ``owner``, and in
-    a kernel of one graph, every row reads the first graph's, as
-    ``pair_products`` and ``hessian_apply`` do.  Each bin still receives
+    A kernel holds one or more graphs of one shape (n, m, k), and ``cols``
+    has shape (k, graphs, m).  A batch names the graph of each row by
+    ``owner``; without one, every row reads graph 0.  Each bin receives
     only its own row's terms, so a row's contraction has the bits of a
     batch of that row alone.
 
     A kernel serves batches of up to ``rows`` rows.  It keeps the index of
-    the batch it last applied to, keyed by its size and, with several
-    graphs, its ``owner`` array: descent applies to all its live rows,
-    which change only when a row freezes or a group leaves.  Any other
-    batch builds its index for the call.  The gather and product buffers are reused across calls.
+    the batch it last applied to, keyed by its size and its ``owner``
+    array: descent applies to all its live rows, which change only when a
+    row freezes or a group leaves.  Any other batch builds its index for
+    the call.  The gather and product buffers are reused across calls.
     """
 
     def __init__(self, g: Hypergraph | list[Hypergraph], rows: int = 1):
         graphs = g if isinstance(g, list) else [g]
         g = graphs[0]
         self.n, self.k, self.m, self.rows = g.n, g.k, g.m, rows
-        # (k, graphs, m): the edge columns of each graph
-        self._cols = np.stack([h.edge_array.T for h in graphs], axis=1)
-        self.cols = np.ascontiguousarray(self._cols[:, 0])
-        self._grouped = len(graphs) > 1
+        self.cols = np.stack([h.edge_array.T for h in graphs], axis=1)
         self._owner = None
         self._index = self._flat_index(rows, None)
         self._ex = np.empty(g.k * rows * g.m)
         self._contrib = np.empty(g.k * rows * g.m)
 
     def _flat_index(self, rows: int, owner: np.ndarray | None) -> np.ndarray:
-        cols = self._cols[:, owner] if self._grouped and owner is not None else self._cols[:, :1]
-        return (np.arange(rows)[:, None] * self.n + cols).reshape(-1)
+        """The flat index of a batch, one broadcast per maximal run of rows
+        with one owner: a descent batch has one run per group."""
+        index = np.empty((self.k, rows, self.m), dtype=np.intp)
+        owner = np.zeros(rows, dtype=np.intp) if owner is None else owner
+        bounds = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist(), rows]
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.add(np.arange(lo, hi)[:, None] * self.n, self.cols[:, owner[lo], None, :], out=index[:, lo:hi])
+        return index.reshape(-1)
 
     def _kept(self, rows: int, owner: np.ndarray | None) -> bool:
         """Whether the kept index is the one a batch of this size and owner
         needs.  An owner array is matched by identity: descent replaces its
         live rows' owner array whenever they change, and never writes to it."""
-        return (owner is self._owner or not self._grouped) and self._index.size == self.cols.size * rows
+        return owner is self._owner and self._index.size == self.k * rows * self.m
 
     def _gather(self, xs: np.ndarray, index: np.ndarray) -> np.ndarray:
         # every index is an entry of xs; mode="clip" only stops take from
@@ -276,7 +276,7 @@ class _Kernel:
     def pair_products(self, x: np.ndarray) -> np.ndarray:
         """Per edge and ordered pair of positions i != j, the product of the
         other k-2 entries of one vector x; zero for i == j.  Shape (k, k, m)."""
-        ex = x[self.cols]
+        ex = x[self.cols[:, 0]]
         pairs = np.zeros((self.k, self.k, ex.shape[1]))
         for i in range(self.k):
             for j in range(i + 1, self.k):
@@ -287,8 +287,8 @@ class _Kernel:
     def hessian_apply(self, pairs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """M v, where M_uv = sum over edges at u and v of the product of the
         other k-2 entries: the Jacobian of A x^{k-1} at the x of ``pairs``."""
-        contrib = (pairs * v[self.cols][None, :, :]).sum(axis=1)
-        return np.bincount(self.cols.reshape(-1), weights=contrib.ravel(), minlength=self.n)
+        contrib = (pairs * v[self.cols[:, 0]][None, :, :]).sum(axis=1)
+        return np.bincount(self.cols[:, 0].reshape(-1), weights=contrib.ravel(), minlength=self.n)
 
 
 def tensor_apply(g: Hypergraph, x) -> np.ndarray:
@@ -788,7 +788,8 @@ def _oracle_starts(g: Hypergraph, samples: int, seed: int) -> np.ndarray:
     signed magnitude profiles.
 
     For each sampled magnitude profile the form is linear in the edge signs,
-    so all 2^n sign choices are scored exactly in one matrix product.
+    so all 2^n sign choices are scored at once, as sums of the exact terms
+    w_e * (+-1) in edge order: no BLAS call, so no build-dependent rounding.
     """
     _check_solvable(g)
     if g.n > 16:
@@ -806,16 +807,15 @@ def _oracle_starts(g: Hypergraph, samples: int, seed: int) -> np.ndarray:
     edge_signs = (1 - 2 * parity).astype(np.float64)
 
     profiles = np.vstack([np.ones(n), rng.uniform(0.05, 1.0, (samples - 1, n))])
-    # each k-th root is a scalar power and each profile is scored by its own
-    # vector-matrix product: np.power over the array rounds some roots
-    # differently, and one matrix-matrix product need not round as the row
-    # products do, either of which can change the chosen starts
+    # each k-th root is a scalar power, as np.power over the array rounds
+    # some roots differently, which can change the chosen starts; the loop
+    # over profiles keeps the temporary at (m, 2^n)
     norms = [float(s ** (1.0 / k)) for s in _ipow(profiles, k).sum(axis=1)]
     profiles /= np.array(norms)[:, None]
     weights = np.prod(profiles[:, edge], axis=2)
     best, signs = np.empty(samples), np.empty(samples, dtype=np.int64)
     for i, w in enumerate(weights):
-        scores = k * (w @ edge_signs)
+        scores = k * (w[:, None] * edge_signs).sum(axis=0)
         signs[i] = np.argmin(scores)
         best[i] = scores[signs[i]]
     # descend from the several best starts; a single start can stall in a

@@ -345,11 +345,10 @@ def test_identity_gap_sign_decides_the_status(monkeypatch, shift, status):
     g = kth_power_of_graph([(0, 1), (1, 2)], 4)
     rho = spectral.spectral_radius(g).eigenvalue
 
-    def solve(graph, cfg=None, method="auto"):
-        x = np.ones(graph.n)
-        return spectral.EigenResult(-rho + shift, x, 0.0, 1, True, "descent")
+    def solve(jobs, max_iters):
+        return [spectral.EigenResult(-rho + shift, np.ones(graph.n), 0.0, 1, True, "descent") for graph, _ in jobs]
 
-    monkeypatch.setattr(analysis, "least_h_eigenvalue", solve)
+    monkeypatch.setattr(analysis, "descend", solve)
     rec = verify_odd_bipartite_identity(g, FAST)
     assert rec.has_witness and rec.status == status
     assert rec.gap == pytest.approx(shift, abs=1e-12)

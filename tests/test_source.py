@@ -44,13 +44,16 @@ def _blas_uses(tree):
     return found
 
 
-def test_spectral_makes_no_blas_call():
-    """The contraction, descent, polish, Newton finish and power iteration
-    stay BLAS-free, so their results do not depend on the BLAS build or its
-    thread count.  The one matrix product is the oracle's sign scoring."""
-    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
-    found = set(_blas_uses(tree)) - {("_oracle_starts", "w @ edge_signs")}
-    assert found == set()
+def test_package_makes_no_blas_call():
+    """No module calls BLAS, so no result depends on the BLAS build or its
+    thread count: the solvers, the oracle's sign scoring and the checks
+    built on them alike."""
+    found = [
+        (path.name, *use)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for use in _blas_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
 
 
 def test_blas_guard_catches_each_form():

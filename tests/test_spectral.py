@@ -75,7 +75,9 @@ def test_batched_kernel_matches_loop_reference(k):
     and both equal the per-edge loop within rounding.  One kernel of 32
     rows serves batches of 1, 6 and 32 rows in turn, so forms on the kept
     index and on one built for the call, and each change of the kept
-    index, are covered."""
+    index, are covered.  A kernel over three graphs of one shape then serves
+    batches whose owner runs skip a graph or hold one row, and each row
+    equals the one-vector functions of its own graph."""
     rng = np.random.default_rng(k)
     for _ in range(5):
         g = random_connected_hypergraph(rng, int(rng.integers(k + 2, 16)), int(rng.integers(0, 4)), k)
@@ -92,6 +94,19 @@ def test_batched_kernel_matches_loop_reference(k):
             scale = loop_apply(g, np.abs(x))  # bounds every sum's rounding
             assert np.all(np.abs(row - loop_apply(g, x)) <= 1e-13 * scale)
             assert abs(f - loop_apply(g, x) @ x) <= 1e-13 * (scale @ np.abs(x))
+    graphs = enumerate_family(cycle_blowup(3, k), 2)[:3]
+    xs = rng.normal(size=(12, graphs[0].n))
+    kernel = _Kernel(graphs, len(xs))
+    for runs in ([(0, 5), (2, 7)], [(0, 2), (1, 1), (2, 3)], [(2, 1)], [(2, 3), (0, 9)], [(0, 5), (2, 7)]):
+        owner = np.repeat(*zip(*runs))
+        batch = xs[: len(owner)]
+        # built for the call, then kept by apply, then read from the kept index
+        forms_before, applied, forms = kernel.form(batch, owner), kernel.apply(batch, owner), kernel.form(batch, owner)
+        assert np.array_equal(forms_before, forms)
+        assert np.array_equal(kernel.form(batch, owner.copy()), forms)
+        for x, j, row, f in zip(batch, owner, applied, forms):
+            assert np.array_equal(row, tensor_apply(graphs[j], x))
+            assert f == rayleigh(graphs[j], x)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
