@@ -60,18 +60,20 @@ no n-by-n array is built.
 One batched O(m*k) kernel serves every contraction: a batch is gathered
 position-major, one contiguous (rows, m) block per edge position, edge
 products are block multiplies, and the scatter onto vertices is one
-bincount.  Descent keeps its live rows' state contiguous, compacted only
-when a row freezes, and tries the halvings of the rows still backtracking
-stacked in one form call; each row takes exactly the steps it would take
-alone.  One descent runs several start groups at once (``descend``): a
-group is one graph's starts, every graph in the call has the same
-(n, m, k), and each row reads its own graph's edges.  A group keeps its
-own incumbent, checks, stop and iteration count, and leaves the batch as a
-frozen row does, so it returns the bits of its lone solve.  A single solve
-is the one-group case.  Integer powers are repeated multiplications, and
-inner products and the oracle's sign scores are elementwise sums.  No
-function here makes a BLAS call, so no result depends on the BLAS build
-or its thread count.
+bincount.  The caller builds a batch's index and passes it in, so the
+kernel keeps no state between calls.  Descent keeps its live rows' state
+contiguous, and rows leave it at one block at the end of an iteration in
+which a row is done or a check is due.  It tries the halvings of the rows
+still backtracking stacked in one form call; each row takes exactly the
+steps it would take alone.  One descent runs several start groups at once
+(``descend``): a group is one graph's starts, every graph in the call has
+the same (n, m, k), and each row reads its own graph's edges.  A group
+keeps its own incumbent, checks, stop and iteration count, and leaves the
+batch as a frozen row does, so it returns the bits of its lone solve.  A
+single solve is the one-group case.  Integer powers are repeated
+multiplications, and inner products and the oracle's sign scores are
+elementwise sums.  No function here makes a BLAS call, so no result
+depends on the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -200,15 +202,14 @@ class _Kernel:
 
     A kernel holds one or more graphs of one shape (n, m, k), and ``cols``
     has shape (k, graphs, m).  A batch names the graph of each row by
-    ``owner``; without one, every row reads graph 0.  Each bin receives
-    only its own row's terms, so a row's contraction has the bits of a
-    batch of that row alone.
+    ``owner``.  Each bin receives only its own row's terms, so a row's
+    contraction has the bits of a batch of that row alone.
 
-    A kernel serves batches of up to ``rows`` rows.  It keeps the index of
-    the batch it last applied to, keyed by its size and its ``owner``
-    array: descent applies to all its live rows, which change only when a
-    row freezes or a group leaves.  Any other batch builds its index for
-    the call.  The gather and product buffers are reused across calls.
+    A kernel serves batches of up to ``rows`` rows.  The caller owns a
+    batch's index: ``index(owner)`` builds it, and ``form`` and ``apply``
+    read the index they are passed, or, without one, a one-row index of
+    graph 0 built with the kernel.  No index is kept between calls; only
+    the gather and product buffers are reused.
     """
 
     def __init__(self, g: Hypergraph | list[Hypergraph], rows: int = 1):
@@ -216,26 +217,19 @@ class _Kernel:
         g = graphs[0]
         self.n, self.k, self.m, self.rows = g.n, g.k, g.m, rows
         self.cols = np.stack([h.edge_array.T for h in graphs], axis=1)
-        self._owner = None
-        self._index = self._flat_index(rows, None)
+        self._one_row = self.index(np.zeros(1, dtype=np.intp))
         self._ex = np.empty(g.k * rows * g.m)
         self._contrib = np.empty(g.k * rows * g.m)
 
-    def _flat_index(self, rows: int, owner: np.ndarray | None) -> np.ndarray:
-        """The flat index of a batch, one broadcast per maximal run of rows
-        with one owner: a descent batch has one run per group."""
-        index = np.empty((self.k, rows, self.m), dtype=np.intp)
-        owner = np.zeros(rows, dtype=np.intp) if owner is None else owner
-        bounds = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist(), rows]
+    def index(self, owner: np.ndarray) -> np.ndarray:
+        """The flat index of a batch whose row r reads graph ``owner[r]``,
+        one broadcast per maximal run of rows with one owner: a descent
+        batch has one run per group."""
+        index = np.empty((self.k, len(owner), self.m), dtype=np.intp)
+        bounds = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist(), len(owner)] if len(owner) else []
         for lo, hi in zip(bounds, bounds[1:]):
             np.add(np.arange(lo, hi)[:, None] * self.n, self.cols[:, owner[lo], None, :], out=index[:, lo:hi])
         return index.reshape(-1)
-
-    def _kept(self, rows: int, owner: np.ndarray | None) -> bool:
-        """Whether the kept index is the one a batch of this size and owner
-        needs.  An owner array is matched by identity: descent replaces its
-        live rows' owner array whenever they change, and never writes to it."""
-        return owner is self._owner and self._index.size == self.k * rows * self.m
 
     def _gather(self, xs: np.ndarray, index: np.ndarray) -> np.ndarray:
         # every index is an entry of xs; mode="clip" only stops take from
@@ -244,24 +238,21 @@ class _Kernel:
         xs.reshape(-1).take(index, out=ex, mode="clip")
         return ex.reshape(self.k, len(xs), self.m)
 
-    def form(self, xs: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+    def form(self, xs: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
         """The degree-k form of each row."""
-        rows = len(xs)
-        index = self._index if self._kept(rows, owner) else self._flat_index(rows, owner)
-        ex = self._gather(xs, index)
+        ex = self._gather(xs, self._one_row if index is None else index)
         prod = ex[0] * ex[1]
         for j in range(2, self.k):
             prod *= ex[j]
         return self.k * prod.sum(axis=1)
 
-    def apply(self, xs: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, xs: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
         """(A(G) x^{k-1}) of each row: per edge and position, the product of
         the other k-1 entries, from prefix and suffix products."""
         k, rows = self.k, len(xs)
-        if not self._kept(rows, owner):
-            self._index, self._owner = self._flat_index(rows, owner), owner
-        ex = self._gather(xs, self._index)
-        contrib = self._contrib[: self._index.size].reshape(k, rows, self.m)
+        index = self._one_row if index is None else index
+        ex = self._gather(xs, index)
+        contrib = self._contrib[: index.size].reshape(k, rows, self.m)
         contrib[1] = ex[0]
         for j in range(2, k):
             np.multiply(contrib[j - 1], ex[j - 1], out=contrib[j])
@@ -270,7 +261,7 @@ class _Kernel:
         for j in range(k - 2, 0, -1):
             contrib[j] *= contrib[0]
             contrib[0] *= ex[j]
-        out = np.bincount(self._index, weights=contrib.reshape(-1), minlength=rows * self.n)
+        out = np.bincount(index, weights=contrib.reshape(-1), minlength=rows * self.n)
         return out.reshape(rows, self.n)
 
     def pair_products(self, x: np.ndarray) -> np.ndarray:
@@ -340,13 +331,15 @@ def _descend_batch(
     with that group alone.
 
     The live rows' state (x, form value, recent values, step, last x,
-    projected gradient and group) is kept contiguous and compacted only
-    when a row freezes or a group leaves; ``xs`` and ``fs`` hold every
-    row's latest point and value once written back, at a freeze, a check
-    and the end.  After the first trial of every row, the rows still
-    searching try their next ``HALVINGS`` halvings stacked in one form call,
-    within the kernel's rows, and each takes its first passing trial: the
-    same step the one-at-a-time search accepts.
+    projected gradient and group) is kept contiguous.  Rows leave it at one
+    block, at the end of an iteration in which a row is done or a check is
+    due: ``xs`` and ``fs`` get every row's latest point and value (as they
+    do at the end), each group with no live row left is polished, the check
+    runs, and the live rows are compacted once.  After the first trial of
+    every row, the rows still searching try their next ``HALVINGS``
+    halvings stacked in one form call, within the kernel's rows, and each
+    takes its first passing trial: the same step the one-at-a-time search
+    accepts.
 
     Returns, per group, the polished eigenpair of its best row, as (lambda,
     vector, residual), and the number of iterations the group ran: fewer
@@ -357,21 +350,18 @@ def _descend_batch(
     xs = _normalized_rows(np.concatenate(starts).astype(np.float64, copy=False), k)
     kernel = _Kernel(graphs, len(xs))
     polishers = [_Kernel(g) for g in graphs]
-    # the group of each live row; replaced, never written, when rows leave
-    own = np.repeat(np.arange(len(graphs)), np.diff(bounds))
-    fs = kernel.form(xs, own)
-    ids, x, f = np.arange(len(xs)), xs, fs
+    own = np.repeat(np.arange(len(graphs)), np.diff(bounds))  # the group of each live row
+    index = kernel.index(own)
+    fs = kernel.form(xs, index)
+    # copies: a write-back to xs must not reach the last point prev_x
+    ids, x, f = np.arange(len(xs)), xs.copy(), fs.copy()
     recent = np.repeat(fs[:, None], NONMONOTONE_MEMORY, axis=1)
     steps = np.ones(len(xs))
     prev_x, prev_g = np.empty_like(xs), np.empty_like(xs)
     halvings = 0.5 ** np.arange(1, 60)  # exact, as repeated halving is
     check, certified = FIRST_CHECK, [None] * len(graphs)
-    alive, ended, results = np.ones(len(graphs), dtype=bool), [max_iters] * len(graphs), [None] * len(graphs)
+    alive, results = np.ones(len(graphs), dtype=bool), [None] * len(graphs)
     iterations = 0
-
-    def leave_emptied() -> None:
-        for j in np.flatnonzero(alive & (np.bincount(own, minlength=len(graphs)) == 0)):
-            alive[j], ended[j] = False, iterations
 
     def best(j: int) -> np.ndarray:
         # a copy: a row of xs is overwritten as descent goes on
@@ -379,80 +369,67 @@ def _descend_batch(
 
     while iterations < max_iters and len(ids):
         iterations += 1
-        grad = kernel.apply(x, own)
+        grad = kernel.apply(x, index)
         grad *= k
         normal = _ipow(x, k - 1)  # gradient of the constraint, up to the factor k
         coef = (grad * normal).sum(axis=1) / (normal * normal).sum(axis=1)
         gproj = grad - coef[:, None] * normal
-        frozen = np.abs(gproj).max(axis=1) < GRADIENT_TOLERANCE
-        if frozen.any():
-            live = ~frozen
-            xs[ids], fs[ids] = x, f
-            ids, own, x, f, recent, steps, prev_x, prev_g, gproj = (
-                a[live] for a in (ids, own, x, f, recent, steps, prev_x, prev_g, gproj)
-            )
-            leave_emptied()
-            if not len(ids):
-                break  # every live row froze
+        done = np.abs(gproj).max(axis=1) < GRADIENT_TOLERANCE  # frozen
         gnorm = np.sqrt((gproj * gproj).sum(axis=1))
-        d = gproj / -gnorm[:, None]  # IEEE division is sign-symmetric
-        if iterations == 1:
-            t = steps.copy()
-        else:
-            dx, dg = x - prev_x, gproj - prev_g
-            dxg = np.abs((dx * dg).sum(axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = gproj / -gnorm[:, None]  # IEEE division is sign-symmetric; 0/0 only in a frozen row
+            if iterations == 1:
+                t = steps.copy()
+            else:
+                dx, dg = x - prev_x, gproj - prev_g
+                dxg = np.abs((dx * dg).sum(axis=1))
                 bb = gnorm * ((dx * dx).sum(axis=1) / dxg if iterations % 2 == 0 else dxg / (dg * dg).sum(axis=1))
-            t = np.where(np.isfinite(bb) & (bb > 0.0), bb.clip(*BB_CLIP), steps)
+                t = np.where(np.isfinite(bb) & (bb > 0.0), bb.clip(*BB_CLIP), steps)
         reference = recent.max(axis=1)
         # the first trial of every row; xt and ft become the rows' new state
         xt = _normalized_rows(x + t[:, None] * d, k)
-        ft = kernel.form(xt, own)
-        searching = (~(ft <= reference - 1e-4 * t * gnorm)).nonzero()[0]
+        ft = kernel.form(xt, index)
+        searching = (~(ft <= reference - 1e-4 * t * gnorm) & ~done).nonzero()[0]
         tried = 1
         while len(searching) and tried < 60:
             s = searching
             stack = min(HALVINGS, kernel.rows // len(s), 60 - tried)
             ts = t[s, None] * halvings[tried - 1 : tried - 1 + stack]
             trials = _normalized_rows((x[s, None, :] + ts[:, :, None] * d[s, None, :]).reshape(-1, kernel.n), k)
-            fts = kernel.form(trials, own[s].repeat(stack)).reshape(len(s), stack)
+            fts = kernel.form(trials, kernel.index(own[s].repeat(stack))).reshape(len(s), stack)
             ok = fts <= reference[s, None] - 1e-4 * ts * gnorm[s, None]
             hit, first = ok.any(axis=1), ok.argmax(axis=1)
             rows, first = s[hit], first[hit]
             xt[rows] = trials.reshape(len(s), stack, kernel.n)[hit, first]
             ft[rows], t[rows] = fts[hit, first], ts[hit, first]
             searching, tried = s[~hit], tried + stack
-        if len(searching):
-            # rows whose decrease fell below float resolution keep their
-            # point and are done
-            xt[searching], ft[searching] = x[searching], f[searching]
+        done[searching] = True
+        if done.any() or iterations == check:
+            # frozen rows, and rows whose decrease fell below float
+            # resolution, keep their point
+            xt[done], ft[done] = x[done], f[done]
             xs[ids], fs[ids] = xt, ft
-            live = np.ones(len(ids), dtype=bool)
-            live[searching] = False
+            live = ~done
+            for j in np.flatnonzero(alive & (np.bincount(own[live], minlength=len(graphs)) == 0)):
+                results[j], alive[j] = (*_polish(polishers[j], best(j)), iterations), False
+            if iterations == check:
+                check *= 2
+                for j in np.flatnonzero(alive):
+                    lam, vec, res = _polish(polishers[j], best(j))
+                    if res > CERTIFY_TOLERANCE:
+                        certified[j] = None
+                    elif certified[j] is not None and abs(lam - certified[j]) <= CERTIFY_TOLERANCE * abs(certified[j]):
+                        results[j], alive[j] = (lam, vec, res, iterations), False
+                    else:
+                        certified[j] = lam
+            live &= alive[own]
             ids, own, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, own, x, gproj, xt, ft, t, recent))
-            leave_emptied()
+            index = kernel.index(own)
         recent[:, iterations % NONMONOTONE_MEMORY] = ft
         prev_x, prev_g, x, f, steps = x, gproj, xt, ft, t
-        if iterations == check:
-            check *= 2
-            xs[ids], fs[ids] = x, f
-            for j in np.flatnonzero(alive):
-                lam, vec, res = _polish(polishers[j], best(j))
-                if res > CERTIFY_TOLERANCE:
-                    certified[j] = None
-                elif certified[j] is not None and abs(lam - certified[j]) <= CERTIFY_TOLERANCE * abs(certified[j]):
-                    results[j], alive[j] = (lam, vec, res, iterations), False
-                else:
-                    certified[j] = lam
-            live = alive[own]
-            if not live.all():
-                ids, own, x, f, recent, steps, prev_x, prev_g = (
-                    a[live] for a in (ids, own, x, f, recent, steps, prev_x, prev_g)
-                )
     xs[ids], fs[ids] = x, f
-    for j, done in enumerate(results):
-        if done is None:
-            results[j] = (*_polish(polishers[j], best(j)), ended[j])
+    for j in np.flatnonzero(alive):
+        results[j] = (*_polish(polishers[j], best(j)), iterations)
     return results
 
 
@@ -808,14 +785,16 @@ def _oracle_starts(g: Hypergraph, samples: int, seed: int) -> np.ndarray:
 
     profiles = np.vstack([np.ones(n), rng.uniform(0.05, 1.0, (samples - 1, n))])
     # each k-th root is a scalar power, as np.power over the array rounds
-    # some roots differently, which can change the chosen starts; the loop
-    # over profiles keeps the temporary at (m, 2^n)
+    # some roots differently, which can change the chosen starts
     norms = [float(s ** (1.0 / k)) for s in _ipow(profiles, k).sum(axis=1)]
     profiles /= np.array(norms)[:, None]
     weights = np.prod(profiles[:, edge], axis=2)
     best, signs = np.empty(samples), np.empty(samples, dtype=np.int64)
     for i, w in enumerate(weights):
-        scores = k * (w[:, None] * edge_signs).sum(axis=0)
+        scores = np.zeros(patterns)
+        for wj, row in zip(w, edge_signs):  # edge by edge: no (m, 2^n) temporary
+            scores += wj * row
+        scores *= k
         signs[i] = np.argmin(scores)
         best[i] = scores[signs[i]]
     # descend from the several best starts; a single start can stall in a

@@ -146,3 +146,51 @@ def f():
     assert _package_imports(ast.parse(source)) == {
         ".hypergraph", ".constructions", ".canon", "heigen.analysis", "heigen.cli",
     }
+
+
+def _self_assignments(tree, cls):
+    """(method, target) of each assignment to an attribute of ``self`` in
+    the methods of class ``cls`` other than ``__init__``: an attribute
+    stored to, whether by a plain, tuple or augmented assignment."""
+    return [
+        (fn.name, ast.unparse(node))
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and c.name == cls
+        for fn in c.body
+        if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value) == "self"
+    ]
+
+
+def test_kernel_keeps_no_state_between_calls():
+    """A ``_Kernel`` holds its graphs and buffers only: the caller owns each
+    batch's index, so no call depends on the one before it."""
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    assert _self_assignments(tree, "_Kernel") == []
+
+
+def test_state_guard_catches_each_form():
+    source = """
+class _Kernel:
+    def __init__(self, g):
+        self.g = g
+
+    def plain(self, x):
+        self.x = x
+        other.y = x
+        self.buffer[0] = x
+
+    def tuple(self, x):
+        self.a, (self.b, y) = x, (x, x)
+
+    def augmented(self, x):
+        self.count += 1
+
+class Other:
+    def f(self, x):
+        self.x = x
+"""
+    assert _self_assignments(ast.parse(source), "_Kernel") == [
+        ("plain", "self.x"), ("tuple", "self.a"), ("tuple", "self.b"), ("augmented", "self.count"),
+    ]

@@ -73,24 +73,25 @@ def loop_apply(g, x):
 def test_batched_kernel_matches_loop_reference(k):
     """Each row of the batched contraction equals the one-vector functions,
     and both equal the per-edge loop within rounding.  One kernel of 32
-    rows serves batches of 1, 6 and 32 rows in turn, so forms on the kept
-    index and on one built for the call, and each change of the kept
-    index, are covered.  A kernel over three graphs of one shape then serves
-    batches whose owner runs skip a graph or hold one row, and each row
-    equals the one-vector functions of its own graph."""
+    rows serves batches of 1, 6 and 32 rows in turn, each on the index
+    ``kernel.index`` builds for it, so the kernel's buffers serve batches
+    of every size in any order.  A kernel over three graphs of one shape
+    then serves batches whose owner runs skip a graph or hold one row, and
+    each row equals the one-vector functions of its own graph."""
     rng = np.random.default_rng(k)
     for _ in range(5):
         g = random_connected_hypergraph(rng, int(rng.integers(k + 2, 16)), int(rng.integers(0, 4)), k)
         xs = rng.normal(size=(32, g.n))
         kernel = _Kernel(g, len(xs))
         for rows in (32, 6, 1, 6, 32, 1):
-            batch = xs[:rows]
-            forms_before, applied, forms = kernel.form(batch), kernel.apply(batch), kernel.form(batch)
+            batch, index = xs[:rows], kernel.index(np.zeros(rows, dtype=np.intp))
+            forms_before, applied, forms = kernel.form(batch, index), kernel.apply(batch, index), kernel.form(batch, index)
             assert np.array_equal(forms_before, forms)
             for x, row, f in zip(batch, applied, forms):
                 assert np.array_equal(row, tensor_apply(g, x))
                 assert f == rayleigh(g, x)
-        for x, row, f in zip(xs[:6], kernel.apply(xs[:6]), kernel.form(xs[:6])):
+        index = kernel.index(np.zeros(6, dtype=np.intp))
+        for x, row, f in zip(xs[:6], kernel.apply(xs[:6], index), kernel.form(xs[:6], index)):
             scale = loop_apply(g, np.abs(x))  # bounds every sum's rounding
             assert np.all(np.abs(row - loop_apply(g, x)) <= 1e-13 * scale)
             assert abs(f - loop_apply(g, x) @ x) <= 1e-13 * (scale @ np.abs(x))
@@ -99,11 +100,10 @@ def test_batched_kernel_matches_loop_reference(k):
     kernel = _Kernel(graphs, len(xs))
     for runs in ([(0, 5), (2, 7)], [(0, 2), (1, 1), (2, 3)], [(2, 1)], [(2, 3), (0, 9)], [(0, 5), (2, 7)]):
         owner = np.repeat(*zip(*runs))
-        batch = xs[: len(owner)]
-        # built for the call, then kept by apply, then read from the kept index
-        forms_before, applied, forms = kernel.form(batch, owner), kernel.apply(batch, owner), kernel.form(batch, owner)
+        batch, index = xs[: len(owner)], kernel.index(owner)
+        # the apply between the two forms reuses the gather buffer
+        forms_before, applied, forms = kernel.form(batch, index), kernel.apply(batch, index), kernel.form(batch, index)
         assert np.array_equal(forms_before, forms)
-        assert np.array_equal(kernel.form(batch, owner.copy()), forms)
         for x, j, row, f in zip(batch, owner, applied, forms):
             assert np.array_equal(row, tensor_apply(graphs[j], x))
             assert f == rayleigh(graphs[j], x)
@@ -299,6 +299,25 @@ def test_grouped_descent_group_that_runs_out_of_trials():
     lone = [spectral.descend([(g, starts[16:17])], cfg.max_iters)[0], least_h_eigenvalue(g, cfg, method="descent")]
     assert [_bits(r) for r in grouped] == [_bits(r) for r in lone]
     assert [r.iterations for r in grouped] == [1833, 2000]
+
+
+def test_grouped_descent_write_back_leaves_other_groups_alone():
+    """The one-row group ``near`` on K5^4 runs out of trials at iteration
+    1, and its point is written back while the other group's rows still
+    need their iteration-1 points for their iteration-2 BB steps.  Each
+    group ends with the bits of its lone descent: 19 iterations for the
+    restart group, not the 14 it took when the write-back reached its last
+    points."""
+    g = complete_hypergraph(5, 4)
+    near = np.array([[float.fromhex(h) for h in (
+        "-0x1.807e1dade1f8fp-1", "0x1.48fffac564fb2p-1", "0x1.48fffac4d25c0p-1",
+        "0x1.48fffab7ba212p-1", "0x1.48fffabd0f0ccp-1",
+    )]])
+    starts = spectral._restart_starts(g, SolverConfig(restarts=4, seed=6))
+    grouped = spectral.descend([(g, near), (g, starts)], 2000)
+    lone = [spectral.descend([(g, near)], 2000)[0], spectral.descend([(g, starts)], 2000)[0]]
+    assert [_bits(r) for r in grouped] == [_bits(r) for r in lone]
+    assert grouped[1].iterations == 19
 
 
 def random_graph_pairs(seed, n, extra):
