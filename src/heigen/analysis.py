@@ -595,6 +595,8 @@ def _parse_params(text: str, expected: set[str]) -> dict[str, int]:
         key, _, val = piece.partition("=")
         if key not in expected or not val.lstrip("-").isdigit():
             raise ValueError(f"bad family parameter {piece!r}")
+        if key in out:
+            raise ValueError(f"family parameter {key!r} given twice")
         out[key] = int(val)
     if set(out) != expected:
         raise ValueError(f"family spec needs parameters {sorted(expected)}")

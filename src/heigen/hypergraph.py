@@ -26,7 +26,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.k, int):
+        if not (_is_int(self.n) and _is_int(self.k)):
             raise ValueError("n and k must be integers")
         if self.k < 2:
             raise ValueError(f"uniformity k must be at least 2, got {self.k}")
@@ -212,8 +212,9 @@ def dumps(g: Hypergraph) -> str:
     return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
 
 
-def _is_json_int(v) -> bool:
-    """A JSON integer; true and false parse to bool, a subclass of int."""
+def _is_int(v) -> bool:
+    """An int that is not a bool: bool is a subclass of int, and JSON true
+    and false parse to it."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
@@ -226,12 +227,10 @@ def from_json_dict(obj) -> Hypergraph:
     if obj["format"] != FILE_FORMAT:
         raise ValueError(f"unsupported format {obj['format']!r}, expected {FILE_FORMAT!r}")
     n, k, edges = obj["n"], obj["k"], obj["edges"]
-    if not (_is_json_int(n) and _is_json_int(k)):
-        raise ValueError("n and k must be integers")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ValueError("edges must be a list of lists")
     for e in edges:
-        if not all(_is_json_int(v) for v in e):
+        if not all(_is_int(v) for v in e):
             raise ValueError(f"edge {e} has non-integer vertices")
         if list(e) != sorted(e):
             raise ValueError(f"edge {e} is not sorted ascending")

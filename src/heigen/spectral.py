@@ -63,17 +63,17 @@ products are block multiplies, and the scatter onto vertices is one
 bincount.  The caller builds a batch's index and passes it in, so the
 kernel keeps no state between calls.  Descent keeps its live rows' state
 contiguous, and rows leave it at one block at the end of an iteration in
-which a row is done or a check is due.  It tries the halvings of the rows
-still backtracking stacked in one form call; each row takes exactly the
-steps it would take alone.  One descent runs several start groups at once
-(``descend``): a group is one graph's starts, every graph in the call has
-the same (n, m, k), and each row reads its own graph's edges.  A group
-keeps its own incumbent, checks, stop and iteration count, and leaves the
-batch as a frozen row does, so it returns the bits of its lone solve.  A
-single solve is the one-group case.  Integer powers are repeated
-multiplications, and inner products and the oracle's sign scores are
-elementwise sums.  No function here makes a BLAS call, so no result
-depends on the BLAS build or its thread count.
+which a row is done, a check is due or the cap is reached.  It tries the
+halvings of the rows still backtracking stacked in one form call; each row
+takes exactly the steps it would take alone.  One descent runs several
+start groups at once (``descend``): a group is one graph's starts, every
+graph in the call has the same (n, m, k), and each row reads its own
+graph's edges.  A group keeps its own incumbent, checks, stop and
+iteration count, and leaves the batch at that same block, so it returns
+the bits of its lone solve.  A single solve is the one-group case.
+Integer powers are repeated multiplications, and inner products and the
+oracle's sign scores are elementwise sums.  No function here makes a BLAS
+call, so no result depends on the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -309,9 +309,7 @@ def _normalized_rows(xs: np.ndarray, k: int) -> np.ndarray:
     return xs / norms[:, None]
 
 
-def _descend_batch(
-    graphs: list[Hypergraph], starts: list[np.ndarray], max_iters: int
-) -> list[tuple[float, np.ndarray, float, int]]:
+def _descend_batch(graphs: list[Hypergraph], starts: list[np.ndarray], max_iters: int) -> list[EigenResult]:
     """Projected normalized-gradient descent on the unit k-norm sphere,
     run on several start groups at once.  A group is one graph's starts,
     and every graph has the same (n, m, k).  Every row follows exactly its
@@ -325,26 +323,25 @@ def _descend_batch(
     ``NONMONOTONE_MEMORY`` accepted form values.
 
     Each group keeps its own incumbent, its own checks and its own
-    iteration count.  It leaves the batch, as a frozen row does, once a
-    check certifies its incumbent, or once its last live row freezes or
-    runs out of trials.  So each group's result has the bits of a call
-    with that group alone.
+    iteration count.  It leaves the batch once its last live row freezes
+    or runs out of trials, once a check certifies its incumbent, or at
+    ``max_iters``.  So each group's result has the bits of a call with
+    that group alone.
 
     The live rows' state (x, form value, recent values, step, last x,
-    projected gradient and group) is kept contiguous.  Rows leave it at one
-    block, at the end of an iteration in which a row is done or a check is
-    due: ``xs`` and ``fs`` get every row's latest point and value (as they
-    do at the end), each group with no live row left is polished, the check
-    runs, and the live rows are compacted once.  After the first trial of
-    every row, the rows still searching try their next ``HALVINGS``
-    halvings stacked in one form call, within the kernel's rows, and each
-    takes its first passing trial: the same step the one-at-a-time search
-    accepts.
+    projected gradient and group) is kept contiguous.  Rows and groups
+    leave it at one block, at the end of an iteration in which a row is
+    done, a check is due or the cap is reached: ``xs`` and ``fs`` get every
+    row's latest point and value, the best row of each group with no live
+    row left or due a check is polished once, a group that leaves gets its
+    result there, and the live rows are compacted once.  After the first
+    trial of every row, the rows still searching try their next
+    ``HALVINGS`` halvings stacked in one form call, within the kernel's
+    rows, and each takes its first passing trial: the same step the
+    one-at-a-time search accepts.
 
-    Returns, per group, the polished eigenpair of its best row, as (lambda,
-    vector, residual), and the number of iterations the group ran: fewer
-    than ``max_iters`` when every row of the group froze or a check
-    certified its incumbent."""
+    Returns, per group, the ``EigenResult`` of its best row's polished
+    eigenpair, with the number of iterations the group ran."""
     k = graphs[0].k
     bounds = np.cumsum([0] + [len(s) for s in starts])
     xs = _normalized_rows(np.concatenate(starts).astype(np.float64, copy=False), k)
@@ -357,17 +354,13 @@ def _descend_batch(
     ids, x, f = np.arange(len(xs)), xs.copy(), fs.copy()
     recent = np.repeat(fs[:, None], NONMONOTONE_MEMORY, axis=1)
     steps = np.ones(len(xs))
-    prev_x, prev_g = np.empty_like(xs), np.empty_like(xs)
+    # dx = 0 at iteration 1: no BB value is finite and positive, so every row tries its step of 1
+    prev_x, prev_g = x, 0.0
     halvings = 0.5 ** np.arange(1, 60)  # exact, as repeated halving is
     check, certified = FIRST_CHECK, [None] * len(graphs)
     alive, results = np.ones(len(graphs), dtype=bool), [None] * len(graphs)
     iterations = 0
-
-    def best(j: int) -> np.ndarray:
-        # a copy: a row of xs is overwritten as descent goes on
-        return xs[bounds[j] + int(np.argmin(fs[bounds[j] : bounds[j + 1]]))].copy()
-
-    while iterations < max_iters and len(ids):
+    while len(ids):
         iterations += 1
         grad = kernel.apply(x, index)
         grad *= k
@@ -378,13 +371,10 @@ def _descend_batch(
         gnorm = np.sqrt((gproj * gproj).sum(axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
             d = gproj / -gnorm[:, None]  # IEEE division is sign-symmetric; 0/0 only in a frozen row
-            if iterations == 1:
-                t = steps.copy()
-            else:
-                dx, dg = x - prev_x, gproj - prev_g
-                dxg = np.abs((dx * dg).sum(axis=1))
-                bb = gnorm * ((dx * dx).sum(axis=1) / dxg if iterations % 2 == 0 else dxg / (dg * dg).sum(axis=1))
-                t = np.where(np.isfinite(bb) & (bb > 0.0), bb.clip(*BB_CLIP), steps)
+            dx, dg = x - prev_x, gproj - prev_g
+            dxg = np.abs((dx * dg).sum(axis=1))
+            bb = gnorm * ((dx * dx).sum(axis=1) / dxg if iterations % 2 == 0 else dxg / (dg * dg).sum(axis=1))
+            t = np.where(np.isfinite(bb) & (bb > 0.0), bb.clip(*BB_CLIP), steps)
         reference = recent.max(axis=1)
         # the first trial of every row; xt and ft become the rows' new state
         xt = _normalized_rows(x + t[:, None] * d, k)
@@ -404,32 +394,30 @@ def _descend_batch(
             ft[rows], t[rows] = fts[hit, first], ts[hit, first]
             searching, tried = s[~hit], tried + stack
         done[searching] = True
-        if done.any() or iterations == check:
+        due = iterations == check
+        if done.any() or due or iterations == max_iters:
             # frozen rows, and rows whose decrease fell below float
             # resolution, keep their point
             xt[done], ft[done] = x[done], f[done]
             xs[ids], fs[ids] = xt, ft
-            live = ~done
-            for j in np.flatnonzero(alive & (np.bincount(own[live], minlength=len(graphs)) == 0)):
-                results[j], alive[j] = (*_polish(polishers[j], best(j)), iterations), False
-            if iterations == check:
+            live = ~done & (iterations < max_iters)
+            emptied = np.bincount(own[live], minlength=len(graphs)) == 0
+            if due:
                 check *= 2
-                for j in np.flatnonzero(alive):
-                    lam, vec, res = _polish(polishers[j], best(j))
-                    if res > CERTIFY_TOLERANCE:
-                        certified[j] = None
-                    elif certified[j] is not None and abs(lam - certified[j]) <= CERTIFY_TOLERANCE * abs(certified[j]):
-                        results[j], alive[j] = (lam, vec, res, iterations), False
-                    else:
-                        certified[j] = lam
+            for j in np.flatnonzero(alive & (emptied | due)):
+                best = bounds[j] + int(np.argmin(fs[bounds[j] : bounds[j + 1]]))
+                # a copy: a result must not hold a view of the whole batch
+                lam, vec, res = _polish(polishers[j], xs[best].copy())
+                last, certified[j] = certified[j], lam if res <= CERTIFY_TOLERANCE else None
+                # two certified checks in a row with the same eigenvalue end the group
+                same = None not in (last, certified[j]) and abs(lam - last) <= CERTIFY_TOLERANCE * abs(last)
+                if emptied[j] or same:
+                    results[j], alive[j] = _result(lam, vec, res, iterations, "descent"), False
             live &= alive[own]
             ids, own, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, own, x, gproj, xt, ft, t, recent))
             index = kernel.index(own)
         recent[:, iterations % NONMONOTONE_MEMORY] = ft
         prev_x, prev_g, x, f, steps = x, gproj, xt, ft, t
-    xs[ids], fs[ids] = x, f
-    for j in np.flatnonzero(alive):
-        results[j] = (*_polish(polishers[j], best(j)), iterations)
     return results
 
 
@@ -559,7 +547,7 @@ def _polish(kernel: _Kernel, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     if plain[2] <= CERTIFY_TOLERANCE:
         return plain
     mask = np.abs(x) < SNAP * np.max(np.abs(x))
-    if not mask.any() or mask.all():
+    if not mask.any():
         return plain
     snapped = _polish_once(kernel, _normalized(np.where(mask, 0.0, x), kernel.k))
     return _finished(kernel, snapped) if snapped[2] < plain[2] else plain
@@ -635,6 +623,8 @@ def descend(jobs: list[tuple[Hypergraph, np.ndarray]], max_iters: int) -> list[E
     jobs whose graphs share a shape (n, m, k) run as the start groups of
     one ``_descend_batch`` call, and each result has the bits of a descent
     of its job alone."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     shapes: dict[tuple[int, int, int], list[int]] = {}
     for i, (g, _) in enumerate(jobs):
         _check_solvable(g)
@@ -642,8 +632,8 @@ def descend(jobs: list[tuple[Hypergraph, np.ndarray]], max_iters: int) -> list[E
     results: list = [None] * len(jobs)
     for members in shapes.values():
         solved = _descend_batch([jobs[i][0] for i in members], [jobs[i][1] for i in members], max_iters)
-        for i, (lam, x, res, iterations) in zip(members, solved):
-            results[i] = _result(lam, x, res, iterations, "descent")
+        for i, r in zip(members, solved):
+            results[i] = r
     return results
 
 

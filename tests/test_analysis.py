@@ -467,6 +467,7 @@ def test_family_from_spec():
     for bad in (
         "hypertrees:m=2",
         "hypertrees:m=2,k=4,q=1",
+        "hypertrees:m=3,k=4,m=2",
         "Tm:pentagon:5,m=1",
         "Tm:edge:4,m=x",
         "mystery:m=1",

@@ -33,6 +33,9 @@ def test_construction_normalizes_and_validates():
         Hypergraph(4, 1, ())
     with pytest.raises(ValueError):
         Hypergraph(-1, 2, ())
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            Hypergraph(flag, 2, ())
 
 
 def test_degree_and_star():

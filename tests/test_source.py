@@ -87,9 +87,10 @@ def _callers(tree, name):
 def test_only_descent_runs_the_snapped_polish():
     """The power path's Perron vector is strictly positive, so snapping its
     small entries to zero could only pull it toward another eigenpair; it
-    finishes with ``_polish_once`` and ``_finished`` instead."""
+    finishes with ``_polish_once`` and ``_finished`` instead.  Descent
+    polishes at one site, the block where a group is checked or leaves."""
     tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
-    assert set(_callers(tree, "_polish")) == {"_descend_batch"}
+    assert _callers(tree, "_polish") == ["_descend_batch"]
 
 
 def test_caller_guard_catches_each_form():

@@ -173,6 +173,8 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
+    with pytest.raises(ValueError):
+        brute_force_min(single_edge(4), refine_iters=0)
     d = asdict(SolverConfig())
     assert d["restarts"] == 32
     assert set(d) == {"restarts", "max_iters", "seed"}
@@ -269,6 +271,9 @@ def _bits(r):
         (32, 25, (25,) * 8),
         (33, 2, (2,) * 8),
         (1, 1, (1,) * 8),
+        # the cap falls on a check while other groups have left earlier
+        (32, 400, (100, 50, 50, 50, 50, 400, 100, 50)),
+        (1, 100, (64, 50, 86, 50, 50, 100, 64, 50)),
     ],
 )
 def test_grouped_descent_matches_lone_solves(restarts, max_iters, iterations):
