@@ -26,7 +26,7 @@ from .constructions import (
     hyperstar,
     relocate,
 )
-from .canon import are_isomorphic, canonical_form
+from .canon import are_isomorphic, canonical_form, twin_classes
 from .spectral import (
     CERTIFY_TOLERANCE,
     EIGENVALUE_TOLERANCE,
@@ -50,12 +50,17 @@ def _attach_pendant_edge(g: Hypergraph, v: int) -> Hypergraph:
 
 
 def _grow_family(seed: Hypergraph, rounds: int) -> list[Hypergraph]:
+    """The graphs grown from seed by ``rounds`` pendant edges, one per
+    isomorphism class, in canonical-form order.  Twins give isomorphic
+    children, so each parent grows one child per twin class, at its least
+    member: the first child of each form that attaching at every vertex in
+    index order would keep."""
     level = {canonical_form(seed): seed}
     for _ in range(rounds):
         nxt: dict = {}
         for g in level.values():
-            for v in range(g.n):
-                child = _attach_pendant_edge(g, v)
+            for members, _ in twin_classes(g):
+                child = _attach_pendant_edge(g, members[0])
                 nxt.setdefault(canonical_form(child), child)
         level = nxt
     return [level[key] for key in sorted(level)]

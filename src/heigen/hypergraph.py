@@ -35,7 +35,10 @@ class Hypergraph:
         norm = []
         seen = set()
         for e in self.edges:
-            t = tuple(sorted(int(v) for v in e))
+            # plain ints first: the per-vertex test would slow every constructor
+            if not {int}.issuperset(map(type, e)) and not all(map(_is_vertex, e)):
+                raise ValueError(f"edge {tuple(e)} has non-integer vertices")
+            t = tuple(sorted(map(int, e)))
             if len(t) != self.k:
                 raise ValueError(f"edge {tuple(e)} does not have {self.k} vertices")
             if len(set(t)) != self.k:
@@ -82,7 +85,7 @@ class Hypergraph:
         return tuple(tuple(s) for s in star)
 
     def _check_vertex(self, v: int) -> int:
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.n:
+        if not _is_vertex(v) or not 0 <= v < self.n:
             raise ValueError(f"vertex {v} is not in 0..{self.n - 1}")
         return int(v)
 
@@ -216,6 +219,12 @@ def _is_int(v) -> bool:
     """An int that is not a bool: bool is a subclass of int, and JSON true
     and false parse to it."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_vertex(v) -> bool:
+    """An int or numpy integer that is not a bool: int() would truncate a
+    float and parse a string."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def from_json_dict(obj) -> Hypergraph:

@@ -35,16 +35,27 @@ whenever ``find_odd_bipartition`` returns a witness, and descends otherwise;
 
 Descent stops once its incumbent is certified.  At iterations 25, 50, 100,
 ... (doubling from ``FIRST_CHECK``, at most ``max_iters``) the best row is
-polished by the SS-HOPM-style fixed-point map; the descent stops when the
-polished residual is at most ``CERTIFY_TOLERANCE`` and its eigenvalue
-equals the previous check's certified eigenvalue to that relative
-tolerance.  Otherwise it runs until every row has frozen or the iteration
-cap is reached, and the final incumbent is polished.  A polish that does
-not certify tries one more candidate, with the entries below ``SNAP`` of
-the largest set to zero.  The power path runs the fixed-point map and the
-Newton band only: a connected graph's Perron vector is strictly positive
-(Chang, Pearson & Zhang, Commun. Math. Sci. 6, 2008), so snapping could
-only pull it toward another eigenpair.
+polished by the SS-HOPM-style fixed-point map, and the polish certifies
+when its residual is at most ``CERTIFY_TOLERANCE``.  The descent stops at
+the first certified check whose eigenvalue is at most the least row value
+plus ``EIGENVALUE_TOLERANCE`` and whose tangent curvature, the least
+eigenvalue of the Hessian of the Lagrangian on the sphere's tangent space,
+is at least ``EIGENVALUE_TOLERANCE``: the second-order condition for a
+strict local minimum (Absil, Mahony & Sepulchre 2008, ch. 5-6).  A
+curvature near zero leaves the test open, as at eigenvectors with exact
+zero entries, where other rows can still descend lower.  Lanczos with full
+reorthogonalization on the kernel's Hessian products gives the tridiagonal,
+and bisection on its Sturm counts the least eigenvalue (Parlett, The
+Symmetric Eigenvalue Problem, 1998), in O(n^3) time, so only for n up to
+``CURVATURE_MAX_N``.  Otherwise the descent stops when two certified checks
+in a row agree on the eigenvalue to ``CERTIFY_TOLERANCE`` relative, or runs
+until every row has frozen or the iteration cap is reached, and the final
+incumbent is polished.  A polish that does not certify tries one more
+candidate, with the entries below ``SNAP`` of the largest set to zero.  The
+power path runs the fixed-point map and the Newton band only: a connected
+graph's Perron vector is strictly positive (Chang, Pearson & Zhang,
+Commun. Math. Sci. 6, 2008), so snapping could only pull it toward another
+eigenpair.
 
 The fixed-point map can stall just above ``CERTIFY_TOLERANCE``.  So a
 polish candidate whose residual lies strictly between ``CERTIFY_TOLERANCE``
@@ -119,6 +130,10 @@ HANDOVER_GAP = 0.1
 BRACKET_TOLERANCE = 1e-13
 # Best sampled starts brute_force_min descends from; 8 missed the minimum.
 ORACLE_STARTS = 16
+# Largest n at which a certified check can end a descent group on its
+# tangent curvature: the curvature's Lanczos keeps an n-by-n basis and takes
+# O(n^3) time.
+CURVATURE_MAX_N = 64
 
 
 class UnsupportedUniformityError(ValueError):
@@ -324,8 +339,11 @@ def _descend_batch(graphs: list[Hypergraph], starts: list[np.ndarray], max_iters
 
     Each group keeps its own incumbent, its own checks and its own
     iteration count.  It leaves the batch once its last live row freezes
-    or runs out of trials, once a check certifies its incumbent, or at
-    ``max_iters``.  So each group's result has the bits of a call with
+    or runs out of trials, once a check certifies its incumbent as the
+    least of its rows' values and a strict minimum by its tangent
+    curvature (for n up to ``CURVATURE_MAX_N``), once two certified checks
+    in a row agree, or at ``max_iters``.  Each test reads only the group's
+    own rows and graph, so each group's result has the bits of a call with
     that group alone.
 
     The live rows' state (x, form value, recent values, step, last x,
@@ -411,7 +429,14 @@ def _descend_batch(graphs: list[Hypergraph], starts: list[np.ndarray], max_iters
                 last, certified[j] = certified[j], lam if res <= CERTIFY_TOLERANCE else None
                 # two certified checks in a row with the same eigenvalue end the group
                 same = None not in (last, certified[j]) and abs(lam - last) <= CERTIFY_TOLERANCE * abs(last)
-                if emptied[j] or same:
+                # so does one, if it is the group's least value and a strict
+                # minimum on the sphere; a flat direction leaves that open
+                if emptied[j] or same or (
+                    certified[j] is not None
+                    and kernel.n <= CURVATURE_MAX_N
+                    and lam <= fs[best] + EIGENVALUE_TOLERANCE
+                    and _tangent_curvature(polishers[j], lam, vec) >= EIGENVALUE_TOLERANCE
+                ):
                     results[j], alive[j] = _result(lam, vec, res, iterations, "descent"), False
             live &= alive[own]
             ids, own, x, gproj, xt, ft, t, recent = (a[live] for a in (ids, own, x, gproj, xt, ft, t, recent))
@@ -488,6 +513,94 @@ def _minres(op, b: np.ndarray, iters: int, tol: float = MINRES_TOLERANCE) -> np.
         if phibar <= tol * beta1 or beta == 0.0:
             break
     return z
+
+
+def _lanczos(op, b: np.ndarray, steps: int) -> tuple[list[float], list[float]]:
+    """The diagonal and off-diagonal of the tridiagonal that ``steps``
+    Lanczos steps on the symmetric op build from b.  Each new vector is
+    orthogonalized against every earlier one, twice, by classical
+    Gram-Schmidt with elementwise sums, so the basis stays orthonormal to
+    rounding and no BLAS call is made.  A near-breakdown then restarts the
+    recurrence on an orthogonal direction; only an exact one ends it early."""
+    basis = np.empty((steps, len(b)))
+    q = b / np.sqrt((b * b).sum())
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(steps):
+        basis[j] = q
+        w = op(q)
+        alpha.append(float((q * w).sum()))
+        if j + 1 == steps:
+            break
+        done = basis[: j + 1]
+        for _ in range(2):
+            w = w - ((done * w).sum(axis=1)[:, None] * done).sum(axis=0)
+        norm = float(np.sqrt((w * w).sum()))
+        if norm == 0.0:
+            break
+        beta.append(norm)
+        q = w / norm
+    return alpha, beta
+
+
+def _least_ritz_value(alpha: list[float], beta: list[float]) -> float:
+    """The least eigenvalue of the symmetric tridiagonal T with diagonal
+    alpha and off-diagonal beta, by bisection on Sturm counts (Parlett, The
+    Symmetric Eigenvalue Problem, 1998): T - s I has a pivot <= 0 in its
+    LDL^T factorization exactly when an eigenvalue is at most s.  The
+    bisection starts on the Gershgorin interval and stops once it is
+    narrower than eps times the interval's largest magnitude."""
+    radius = [abs(left) + abs(right) for left, right in zip([0.0, *beta], [*beta, 0.0])]
+    lo = min(a - r for a, r in zip(alpha, radius))
+    hi = max(a + r for a, r in zip(alpha, radius))
+    floor = np.finfo(np.float64).eps * max(abs(lo), abs(hi))
+    squares = [0.0, *(b * b for b in beta)]
+    while hi - lo > floor:
+        mid = 0.5 * (lo + hi)
+        d = 1.0
+        for a, b2 in zip(alpha, squares):
+            d = a - mid - b2 / d
+            if d <= 0.0:
+                hi = mid
+                break
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _tangent_curvature(kernel: _Kernel, lam: float, x: np.ndarray) -> float:
+    """The least eigenvalue of P (M - (k-1) lam diag(x^{k-2})) P on the
+    tangent space of the unit k-norm sphere at x, P projecting off
+    x^{[k-1]} and M the Jacobian of A x^{k-1}: the Hessian of the
+    Lagrangian there, up to the factor k.  At a minimum of the form on the
+    sphere it is >= 0, and > 0 makes a critical point a strict local
+    minimum (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 5-6).
+
+    A Householder reflection maps the tangent space onto the first n - 1
+    coordinates, so Lanczos runs in R^{n-1} and its n - 1 steps span the
+    whole space.  It starts from a fixed vector with distinct entries, so
+    the result is deterministic and sees the directions antisymmetric on
+    a pair of twins, which a symmetric start would miss."""
+    k, n = kernel.k, kernel.n
+    normal = _ipow(x, k - 1)
+    v = normal / np.sqrt((normal * normal).sum())
+    v[-1] += 1.0 if v[-1] >= 0.0 else -1.0
+    scale = 2.0 / (v * v).sum()
+    diag = (k - 1) * lam * (_ipow(x, k - 2) if k > 2 else 1.0)
+    pairs = kernel.pair_products(x)
+    padded = np.zeros(n)
+
+    def reflect(z: np.ndarray) -> np.ndarray:
+        return z - (scale * (v * z).sum()) * v
+
+    def tangent(y: np.ndarray) -> np.ndarray:
+        padded[:-1] = y
+        z = reflect(padded)
+        return reflect(kernel.hessian_apply(pairs, z) - diag * z)[:-1]
+
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n - 1)
+    return _least_ritz_value(*_lanczos(tangent, start, n - 1))
 
 
 def _newton_finish(kernel: _Kernel, lam: float, x: np.ndarray, res: float) -> tuple[float, np.ndarray, float]:

@@ -130,6 +130,38 @@ def test_family_count_matches_vf2_oracle():
     assert len(enumerate_family(t, 3)) == len(nx_family_oracle(t, 3))
 
 
+def index_order_growth(seed: Hypergraph, rounds: int) -> list[Hypergraph]:
+    """Family growth with a pendant edge at every vertex, in index order,
+    keeping the first child of each canonical form."""
+    level = {canonical_form(seed): seed}
+    for _ in range(rounds):
+        nxt = {}
+        for g in level.values():
+            for v in range(g.n):
+                child = Hypergraph(g.n + g.k - 1, g.k, g.edges + ((v,) + tuple(range(g.n, g.n + g.k - 1)),))
+                nxt.setdefault(canonical_form(child), child)
+        level = nxt
+    return [level[key] for key in sorted(level)]
+
+
+@pytest.mark.parametrize(
+    "seed, rounds",
+    [
+        (single_edge(2), 5),
+        (single_edge(4), 4),
+        (complete_hypergraph(5, 4), 2),
+        (cycle_blowup(3, 4), 2),
+        (kth_power_of_graph([(0, 1), (1, 2)], 4), 2),
+    ],
+    ids=["hypertrees-k2-m6", "hypertrees-k4-m5", "complete-5-4-m2", "cycle-3-4-m2", "path-power-m2"],
+)
+def test_twin_class_growth_keeps_the_members_and_their_order(seed, rounds):
+    """One pendant edge per twin class grows the same graphs, with the same
+    labels and in the same order, as one at every vertex."""
+    grown = analysis._grow_family(seed, rounds)
+    assert [(g.n, g.edges) for g in grown] == [(g.n, g.edges) for g in index_order_growth(seed, rounds)]
+
+
 # Canonical forms of the members, in report order, as first computed.
 MEMBER_FORMS = {
     "Tm:edge:4,m=3": [

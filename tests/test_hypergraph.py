@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from heigen import (
@@ -36,6 +37,11 @@ def test_construction_normalizes_and_validates():
     for flag in (True, False):
         with pytest.raises(ValueError):
             Hypergraph(flag, 2, ())
+    # vertices are ints or numpy integers, never truncated or parsed
+    for edge in ((0, 1.5), (0, 1.0), ("0", 1), (True, 0), (0, np.bool_(True))):
+        with pytest.raises(ValueError, match="non-integer"):
+            Hypergraph(3, 2, (edge,))
+    assert Hypergraph(3, 2, ((np.int64(2), np.int32(0)),)).edges == ((0, 2),)
 
 
 def test_degree_and_star():

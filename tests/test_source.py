@@ -195,3 +195,66 @@ class Other:
     assert _self_assignments(ast.parse(source), "_Kernel") == [
         ("plain", "self.x"), ("tuple", "self.a"), ("tuple", "self.b"), ("augmented", "self.count"),
     ]
+
+
+def _import_time_calls(tree):
+    """(line, callee) of each call expression evaluated when a module is
+    imported: in module and class statements, decorators and default
+    arguments, but not in the bodies of functions or lambdas, which run only
+    when called."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            evaluated = getattr(node, "decorator_list", []) + node.args.defaults + node.args.kw_defaults
+            for child in evaluated:
+                if child is not None:
+                    visit(child)
+            return
+        if isinstance(node, ast.Call):
+            found.append((node.lineno, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+# The calls each import makes today; set-up time is a benchmark metric.
+IMPORT_TIME_CALLS = {"dataclass", "SolverConfig", "np.finfo", "dir", "name.startswith"}
+
+
+def test_imports_run_only_the_known_calls():
+    """Importing heigen evaluates only a known handful of calls, so no
+    computation creeps into import time."""
+    found = [
+        (path.name, line, callee)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line, callee in _import_time_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if callee not in IMPORT_TIME_CALLS
+    ]
+    assert found == []
+
+
+def test_import_time_guard_catches_each_form():
+    source = """
+TABLE = build()
+
+@register("x")
+def f(a, b=default(), *, c=keyword()):
+    body()
+    return lambda: inner()
+
+class C(Base.make()):
+    field = value()
+
+    @staticmethod
+    def g():
+        nested()
+
+pick = lambda x=choose(): later()
+squares = [square(v) for v in values()]
+"""
+    assert [callee for _, callee in _import_time_calls(ast.parse(source))] == [
+        "build", "register", "default", "keyword", "Base.make", "value", "choose", "square", "values",
+    ]

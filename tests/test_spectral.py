@@ -1,5 +1,6 @@
 """Eigensolver tests: hand-computed values, closed forms, dual-route checks."""
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -230,6 +231,13 @@ def test_uncertified_descent_runs_to_the_cap():
     assert res.iterations == FAST.max_iters
 
 
+@pytest.fixture
+def two_check_rule(monkeypatch):
+    """Descent without the curvature stop: a group stops only when two
+    certified checks in a row agree, as it did before that stop."""
+    monkeypatch.setattr(spectral, "_tangent_curvature", lambda kernel, lam, x: -np.inf)
+
+
 @pytest.mark.parametrize(
     "graph, cfg, lam_hex, res_hex, iterations, converged",
     [
@@ -247,13 +255,42 @@ def test_uncertified_descent_runs_to_the_cap():
                      "-0x1.ff076645e89f9p+0", "0x1.4000000000000p-54", 2000, True, id="path-blowup-50"),
     ],
 )
-def test_descent_results_are_pinned(graph, cfg, lam_hex, res_hex, iterations, converged):
+def test_descent_results_are_pinned(two_check_rule, graph, cfg, lam_hex, res_hex, iterations, converged):
     """Descent results pinned bit for bit: compacting the live rows and
     stacking the backtracking halvings must leave every row's trajectory
     unchanged, through freezes and the 60-trial cap."""
     res = least_h_eigenvalue(graph(), cfg, method="descent")
     assert (res.eigenvalue.hex(), res.residual.hex()) == (lam_hex, res_hex)
     assert (res.iterations, res.converged) == (iterations, converged)
+
+
+def test_descent_stops_at_its_first_certified_minimum(monkeypatch):
+    """The Tm-member's check at 25 does not certify; the one at 50 does, with
+    positive tangent curvature, and ends the descent there (at 100 under
+    the two-check rule).  Above ``CURVATURE_MAX_N`` no curvature is
+    computed and the two-check rule alone stops it."""
+    curvatures = []
+    real = spectral._tangent_curvature
+    monkeypatch.setattr(spectral, "_tangent_curvature", lambda *args: curvatures.append(real(*args)) or curvatures[-1])
+    g = Hypergraph(12, 4, ((0, 1, 2, 3), (2, 3, 4, 5), (0, 1, 4, 5), (0, 6, 7, 8), (0, 9, 10, 11)))
+    res = least_h_eigenvalue(g, FAST, method="descent")
+    assert (res.eigenvalue.hex(), res.residual.hex()) == ("-0x1.598f09454f5b0p+0", "0x1.0000000000000p-52")
+    assert (res.iterations, res.converged) == (50, True)
+    assert len(curvatures) == 1 and curvatures[0] > 0.1
+    monkeypatch.setattr(spectral, "CURVATURE_MAX_N", g.n - 1)
+    assert least_h_eigenvalue(g, FAST, method="descent").iterations == 100 and len(curvatures) == 1
+
+
+def test_flat_tangent_curvature_keeps_the_two_check_rule():
+    """With five restarts (seed 3) on this member of Tm:complete:5:4,m=3,
+    the check at 25 certifies lambda = -2.5171075 with tangent curvature
+    1e-17, a flat direction, 1.1e-4 above the least eigenvalue the restarts
+    reach by 50; a test for nonnegative curvature stopped there."""
+    g = Hypergraph(14, 4, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4),
+                           (0, 5, 6, 7), (5, 8, 9, 10), (6, 11, 12, 13)))
+    res = least_h_eigenvalue(g, SolverConfig(restarts=5, max_iters=300, seed=3), method="descent")
+    assert abs(res.eigenvalue + 2.517390279281178) <= 1e-12 and res.converged
+    assert res.iterations == 50
 
 
 def _bits(r):
@@ -276,7 +313,7 @@ def _bits(r):
         (1, 100, (64, 50, 86, 50, 50, 100, 64, 50)),
     ],
 )
-def test_grouped_descent_matches_lone_solves(restarts, max_iters, iterations):
+def test_grouped_descent_matches_lone_solves(two_check_rule, restarts, max_iters, iterations):
     """Each member of Tm:cycle:3:4,m=2 and an oracle on its own graph run as
     start groups of one descent; every group ends with the bits of its lone
     solve, whether it certifies, freezes or reaches the cap."""
@@ -293,7 +330,28 @@ def test_grouped_descent_matches_lone_solves(restarts, max_iters, iterations):
     assert tuple(r.iterations for r in grouped) == iterations
 
 
-def test_grouped_descent_group_that_runs_out_of_trials():
+@pytest.mark.parametrize(
+    "restarts, max_iters, iterations",
+    [
+        # groups stop at their first certified check, at 25 or 50, or freeze
+        # at 64 and 74; on the third member, whose least eigenvector is zero
+        # on two vertices, the curvature is zero and the two-check rule
+        # stops both groups (at 50 and 400)
+        (1, 2000, (50, 25, 50, 25, 50, 400, 64, 25)),
+        (2, 300, (50, 25, 50, 25, 50, 300, 74, 25)),
+        (32, 2000, (50, 25, 25, 25, 50, 400, 50, 25)),
+        (33, 26, (26, 25, 25, 25, 26, 26, 26, 25)),
+        (32, 400, (50, 25, 25, 25, 50, 400, 50, 25)),
+        (1, 100, (50, 25, 50, 25, 50, 100, 64, 25)),
+    ],
+)
+def test_grouped_descent_matches_lone_solves_at_the_curvature_stop(restarts, max_iters, iterations):
+    """As above, with groups that stop at their first certified check on
+    their tangent curvature."""
+    test_grouped_descent_matches_lone_solves(None, restarts, max_iters, iterations)
+
+
+def test_grouped_descent_group_that_runs_out_of_trials(two_check_rule):
     """On the path blowup with 50 classes, start 16 of the default seed
     fails all 60 trial steps at iteration 1833.  Alone in its group it ends
     there; among the 32 default starts its group runs to the cap."""
@@ -376,6 +434,63 @@ def test_minres_solves_symmetric_indefinite_systems():
     b = rng.normal(size=12)
     z = spectral._minres(lambda v: a @ v, b, 2 * len(b))
     assert np.max(np.abs(a @ z - b)) <= 1e-8 * np.max(np.abs(b))
+
+
+def test_least_ritz_value_matches_eigvalsh():
+    """Lanczos with full reorthogonalization over the whole space, then
+    Sturm bisection, gives the least eigenvalue of small symmetric
+    operators, repeated, clustered or zero ones included."""
+    rng = np.random.default_rng(11)
+    mats = []
+    for n in (1, 2, 3, 8, 20):
+        a = rng.normal(size=(n, n))
+        mats.append(a + a.T)
+    q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+    for spectrum in ([-2.0] * 3 + [1.0] * 3 + [4.0] * 3, [1e-9, 1e-9 + 1e-12] + [3.0] * 7, [-5.0] * 9):
+        mats.append((q * spectrum) @ q.T)
+    mats.append(np.zeros((4, 4)))
+    for a in mats:
+        n = len(a)
+        alpha, beta = spectral._lanczos(lambda v: (a * v).sum(axis=1), rng.normal(size=n), n)
+        least = np.linalg.eigvalsh(a)[0]
+        assert abs(spectral._least_ritz_value(alpha, beta) - least) <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_least_ritz_value_of_the_second_difference():
+    # eigenvalues 2 - 2 cos(j pi / (n + 1)), j = 1..n
+    for n in (1, 2, 7, 60):
+        least = spectral._least_ritz_value([2.0] * n, [-1.0] * (n - 1))
+        assert abs(least - (2 - 2 * np.cos(np.pi / (n + 1)))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        (5, list(itertools.combinations(range(5), 2))),
+        (6, [(i, (i + 1) % 6) for i in range(6)]),
+        (7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)]),
+    ],
+    ids=["path-P5", "star-K14", "complete-K5", "cycle-C6", "two-triangles"],
+)
+def test_tangent_curvature_of_graph_eigenpairs(n, pairs):
+    """For k = 2 the tangent operator at an eigenpair (lam_i, x_i) is
+    A - lam_i I on the complement of x_i, whose least eigenvalue is
+    min over j != i of lam_j - lam_i: negative at every pair but the least.
+    The star and K5 have eigenvalues of multiplicity 3 and 4, with
+    eigenvectors antisymmetric on swapped vertices, which a start symmetric
+    in those vertices would miss."""
+    g = Hypergraph(n, 2, tuple(pairs))
+    a = np.zeros((n, n))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1.0
+    lams, vecs = np.linalg.eigh(a)
+    kernel = _Kernel(g)
+    for i in range(n):
+        curvature = spectral._tangent_curvature(kernel, lams[i], vecs[:, i])
+        assert abs(curvature - (np.delete(lams, i).min() - lams[i])) <= 1e-10
+        assert (curvature < -1e-6) == (lams[i] > lams[0] + 1e-9)
 
 
 def test_newton_finish_certifies_stalled_residuals():
